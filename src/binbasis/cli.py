@@ -34,18 +34,7 @@ from binbasis.redtree import (
     graft_cantor_tree,
     validate,
 )
-from binbasis.transforms import (
-    BASIS_KINDS,
-    CoeffBuffer,
-    CountModel,
-    convert,
-    l2x,
-    m2x,
-    n2x,
-    x2l,
-    x2m,
-    x2n,
-)
+from binbasis.transforms import BASIS_KINDS, CountModel, convert, run_transform
 
 TRANSFORMS = ("n2x", "x2n", "l2x", "x2l", "x2m", "m2x")
 
@@ -130,9 +119,10 @@ class RunConfig:
 
 
 def resolve_field(spec):
+    """The shared field instance for a degree or a `<m>:0x<modulus>` spec."""
     try:
         if ":" in spec:
-            return Field.from_spec(spec)
+            return get_field(*Field.parse_spec(spec))
         return get_field(int(spec))
     except ValueError as exc:
         raise CliError(str(exc))
@@ -237,11 +227,9 @@ def materialize(cfg):
     field = resolve_field(cfg.field_spec)
     try:
         beta = build_basis(field, cfg.basis, cfg.n)
-        tree = build_tree(cfg.tree, cfg.n)
-        table = build_tables(field, tree, beta)
+        return build_tables(field, build_tree(cfg.tree, cfg.n), beta)
     except ValueError as exc:
         raise CliError(str(exc))
-    return field, beta, tree, table
 
 
 def emit(lines, out_path):
@@ -254,6 +242,9 @@ def emit(lines, out_path):
 
 
 def _mixed_params(cfg, ell, size):
+    """(c, b) of a transform at ell: the configured ones for l2x/x2l."""
+    if cfg.transform not in ("l2x", "x2l"):
+        return ell, 0
     c = cfg.c if cfg.c is not None else ell
     b = cfg.b if cfg.b is not None else 0
     if cfg.transform == "l2x":
@@ -267,42 +258,38 @@ def _mixed_params(cfg, ell, size):
     return c, b
 
 
-def measure(cfg, table, model, phi, rng, ell):
-    """One (transform, ell) measurement: (adds, muls, twists)."""
+def measurer(cfg):
+    """ell -> (adds, muls, twists) of the configured transform, replayed by
+    CountModel under --calc and executed on seeded random data otherwise."""
+    table = materialize(cfg)
     field = table.field
-    size = 1 << cfg.n
+    lam = int(cfg.lam, 16)
     kinds = _convert_kinds(cfg.transform)
-    if kinds:
+    model = CountModel(table) if cfg.calc else None
+    phi = None if cfg.calc else initial_phi_vector(field, table.tree, table.bases, lam)
+    rng = random.Random(0)
+
+    def measure(ell):
+        if kinds:
+            if model is not None:
+                return model.convert(kinds[0], kinds[1], ell)
+            coeffs = [rng.randrange(field.order) for _ in range(ell)]
+            _, ctr = convert(field, kinds[0], kinds[1], table.beta, table.tree,
+                             lam, ell, coeffs, table)
+            return ctr.totals()
+        c, b = _mixed_params(cfg, ell, 1 << cfg.n)
         if model is not None:
-            return model.convert(kinds[0], kinds[1], ell)
-        coeffs = [rng.randrange(field.order) for _ in range(ell)]
-        _, ctr = convert(field, kinds[0], kinds[1], table.beta, table.tree,
-                         int(cfg.lam, 16), ell, coeffs, table)
-        return ctr.totals()
-    if cfg.transform in ("l2x", "x2l"):
-        c, b = _mixed_params(cfg, ell, size)
-        if model is not None:
-            pair = model.l2x(0, c, ell, b) if cfg.transform == "l2x" \
-                else model.x2l(0, c, ell)
+            if cfg.transform in ("l2x", "x2l"):
+                pair = model.l2x(0, c, ell, b) if cfg.transform == "l2x" \
+                    else model.x2l(0, c, ell)
+            else:
+                pair = model.nx(0, ell) if cfg.transform in ("n2x", "x2n") \
+                    else model.xm(0, ell)
             return pair + (0,)
-        buf = CoeffBuffer([rng.randrange(field.order) for _ in range(ell)]
-                          + [0] * (size - ell))
-        if cfg.transform == "l2x":
-            l2x(0, phi, c, ell, b, buf.view(), table)
-        else:
-            x2l(0, phi, c, ell, buf.view(), table)
-        return buf.counter.totals()
-    if model is not None:
-        pair = model.nx(0, ell) if cfg.transform in ("n2x", "x2n") \
-            else model.xm(0, ell)
-        return pair + (0,)
-    buf = CoeffBuffer([rng.randrange(field.order) for _ in range(ell)])
-    fn = {"n2x": n2x, "x2n": x2n}.get(cfg.transform)
-    if fn is not None:
-        fn(0, phi, ell, buf.view(), table)
-    else:
-        (x2m if cfg.transform == "x2m" else m2x)(0, ell, buf.view(), table)
-    return buf.counter.totals()
+        data = [rng.randrange(field.order) for _ in range(ell)]
+        return run_transform(cfg.transform, 0, phi, c, ell, b, data, table)[1].totals()
+
+    return measure
 
 
 def cmd_construct(args):
@@ -372,22 +359,7 @@ def cmd_verify(args):
         for ell in range(1, size + 1):
             for name, kind_from, kind_to in checks:
                 data = [rng.randrange(field.order) for _ in range(ell)]
-                if name in ("l2x", "x2l"):
-                    buf = CoeffBuffer(data + [0] * (size - ell))
-                    if name == "l2x":
-                        l2x(0, phi, ell, ell, 0, buf.view(), table)
-                    else:
-                        x2l(0, phi, ell, ell, buf.view(), table)
-                    got = buf.data[:ell]
-                else:
-                    buf = CoeffBuffer(data)
-                    if name in ("n2x", "x2n"):
-                        (n2x if name == "n2x" else x2n)(
-                            0, phi, ell, buf.view(), table)
-                    else:
-                        (x2m if name == "x2m" else m2x)(
-                            0, ell, buf.view(), table)
-                    got = buf.data
+                got, _ = run_transform(name, 0, phi, ell, ell, 0, data, table)
                 want = oracle_convert(field, kind_from, kind_to, beta,
                                       lam, ell, data)
                 ok = got == want
@@ -401,19 +373,13 @@ def cmd_verify(args):
 
 def cmd_counts(args):
     cfg = config_from_args(args)
-    _, _, tree, table = materialize(cfg)
-    model = CountModel(table) if cfg.calc else None
-    rng = random.Random(0)
-    phi = None
-    if not cfg.calc:
-        phi = initial_phi_vector(table.field, tree, table.bases,
-                                 int(cfg.lam, 16))
+    measure = measurer(cfg)
     header = "ell,additions,multiplications"
     if _convert_kinds(cfg.transform):
         header += ",twist_multiplications"
     lines = [f"# config: {cfg.to_string()}", header]
     for ell in range(cfg.ell_lo, cfg.ell_hi + 1):
-        adds, muls, twists = measure(cfg, table, model, phi, rng, ell)
+        adds, muls, twists = measure(ell)
         row = f"{ell},{adds},{muls}"
         if _convert_kinds(cfg.transform):
             row += f",{twists}"
@@ -426,23 +392,14 @@ def cmd_bounds(args):
     cfg = config_from_args(args)
     if _convert_kinds(cfg.transform):
         raise CliError("bounds supports the raw transforms only")
-    _, _, tree, table = materialize(cfg)
-    model = CountModel(table) if cfg.calc else None
-    rng = random.Random(0)
-    phi = None
-    if not cfg.calc:
-        phi = initial_phi_vector(table.field, tree, table.bases,
-                                 int(cfg.lam, 16))
+    measure = measurer(cfg)
     add_id = args.bound_add or ADD_BOUNDS[cfg.transform]
     mul_id = args.bound_mul or MUL_BOUNDS[cfg.transform]
     size = 1 << cfg.n
     worst = None
     for ell in range(cfg.ell_lo, cfg.ell_hi + 1):
-        adds, muls, _ = measure(cfg, table, model, phi, rng, ell)
-        if cfg.transform in ("l2x", "x2l"):
-            c, b = _mixed_params(cfg, ell, size)
-        else:
-            c, b = ell, 0
+        adds, muls, _ = measure(ell)
+        c, b = _mixed_params(cfg, ell, size)
         for column, count, formula_id in (("additions", adds, add_id),
                                           ("multiplications", muls, mul_id)):
             params = {"ell": ell}

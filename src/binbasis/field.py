@@ -110,18 +110,22 @@ class Field:
 
     # -- construction helpers ------------------------------------------------
 
-    @classmethod
-    def from_spec(cls, text: str) -> "Field":
-        """Parse a field spec string of the form `<m>:0x<modulus-hex>`."""
+    @staticmethod
+    def parse_spec(text: str) -> tuple[int, int]:
+        """(degree, modulus) of a field spec string `<m>:0x<modulus-hex>`."""
         try:
             left, right = text.split(":")
             degree = int(left)
             if not right.lower().startswith("0x"):
                 raise ValueError
-            modulus = int(right, 16)
+            return degree, int(right, 16)
         except ValueError:
             raise ValueError(f"bad field spec {text!r}; expected '<m>:0x<hex>'")
-        return cls(degree, modulus)
+
+    @classmethod
+    def from_spec(cls, text: str) -> "Field":
+        """Parse a field spec string of the form `<m>:0x<modulus-hex>`."""
+        return cls(*cls.parse_spec(text))
 
     def spec_string(self) -> str:
         return f"{self.degree}:0x{self.modulus:x}"
@@ -263,16 +267,14 @@ class Field:
         self._log = log
 
 
-_FIELDS: dict[tuple[int, int | None], Field] = {}
+_FIELDS: dict[tuple[int, int], Field] = {}
 
 
 def get_field(degree: int, modulus: int | None = None) -> Field:
     """Shared Field instance (table construction is done once per spec)."""
-    key = (degree, modulus)
+    key = (degree, canonical_modulus(degree) if modulus is None else modulus)
     if key not in _FIELDS:
-        field = Field(degree, modulus)
-        _FIELDS[key] = field
-        _FIELDS[(degree, field.modulus)] = field
+        _FIELDS[key] = Field(*key)
     return _FIELDS[key]
 
 

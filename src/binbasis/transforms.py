@@ -9,10 +9,12 @@ rows and strided columns.  Every field addition and multiplication performed
 on buffer data, or on the shift vector mu, increments the buffer's counter;
 everything precomputed is excluded.
 
-CountModel replays the recursions on lengths alone: all counts are
-data-independent once the table fixes which scaling guards fire, so sweeps
-over every ell are cheap even where execution would not be.
+CountModel replays the executors' own splits on lengths alone: all counts
+are data-independent once the table fixes which scaling guards fire, so
+sweeps over every ell are cheap even where execution would not be.
 """
+
+from functools import lru_cache
 
 from binbasis.precomp import build_tables, initial_phi_vector
 
@@ -102,87 +104,130 @@ def _clog2(x):
     return (x - 1).bit_length()
 
 
-def _check_args(tree, v, phi_vec, ell, view, full_view):
+def _check_args(tree, v, phi_vec, ell, length, full_view):
     nv = tree.n_of(v)
     if not 1 <= ell <= (1 << nv):
         raise ValueError(f"ell {ell} out of range at a {nv}-dim vertex")
     want = (1 << nv) if full_view else ell
-    if len(view) != want:
-        raise ValueError(f"view length {len(view)}, expected {want}")
+    if length != want:
+        raise ValueError(f"view length {length}, expected {want}")
     if phi_vec is not None and len(phi_vec) != nv:
         raise ValueError(f"phi vector length {len(phi_vec)}, expected {nv}")
 
 
-def _split_ceil(ell, width):
-    # l1 = ceil(ell/width) - 1, so the last row has 1..width entries.
-    l1 = -(-ell // width) - 1
-    return l1, ell - width * l1
+# A split lists the child calls at an internal vertex whose alpha child has
+# dimension d.  It is a tuple of phases, each a tuple of groups
+# (row, first, count, shift, *child args): rows first..first+count-1 of the
+# 2^(n_v-d) x 2^d matrix view go to the alpha child, columns to the delta
+# child.  A row group with shift set advances the alpha shift vector by
+# phi_alpha[v][.][ruler_delta(i)] after row i, at d additions; row i always
+# runs with the vector advanced i times.  Inverse twins walk the phases of
+# the same split in reverse order.
+
+
+@lru_cache(maxsize=256)
+def graded_split(d, ell):
+    """Split of n2x, x2n, x2m and m2x at length ell: rows, then columns."""
+    w = 1 << d
+    # l1 = ceil(ell/w) - 1, so the last row has 1..w entries.
+    l1 = -(-ell // w) - 1
+    l2 = ell - w * l1
+    return (((True, 0, l1, True, w), (True, l1, 1, False, l2)),
+            ((False, 0, l2, False, l1 + 1), (False, l2, min(w, ell) - l2, False, l1)))
+
+
+@lru_cache(maxsize=256)
+def l2x_split(d, c, ell, b):
+    """Split of l2x: child args (c, ell, b)."""
+    w = 1 << d
+    c1, c2 = divmod(c, w)
+    l1, l2 = divmod(ell, w)
+    bp = min(b + c2, 1)
+    s = min(c2, l2)
+    t = max(c2, l2)
+    return (((True, 0, c1 + bp - 1, True, w, w, 0),
+             (True, c1 - 1, 1 - bp, False, w, w, 0)),
+            ((False, c2, t - c2, False, c1, l1 + 1, bp),
+             (False, t, min(w, ell) - t, False, c1, l1, bp)),
+            ((True, c1, bp, False, c2, min(w, ell), b),),
+            ((False, 0, s, False, c1 + 1, l1 + 1, 0),
+             (False, s, c2 - s, False, c1 + 1, l1, 0)))
+
+
+@lru_cache(maxsize=256)
+def x2l_split(d, c, ell):
+    """Split of x2l: child args (c, ell)."""
+    w = 1 << d
+    c1 = -(-c // w) - 1
+    l1, l2 = divmod(ell, w)
+    l2p = min(w, ell)
+    return (((False, 0, l2, False, c1 + 1, l1 + 1),
+             (False, l2, l2p - l2, False, c1 + 1, l1)),
+            ((True, 0, c1, True, w, l2p), (True, c1, 1, False, c - w * c1, l2p)))
+
+
+def _advance(mu, shifts, i, ctr):
+    """Shift vector of row i + 1 from that of row i (see ruler_delta)."""
+    k = ((i + 1) & ~i).bit_length() - 1
+    for r in range(len(mu)):
+        mu[r] ^= shifts[r][k]
+    ctr.additions += len(mu)
 
 
 def n2x(v, phi_vec, ell, view, table):
     """Rewrite shifted-Newton coefficients as graded coefficients, in place."""
     tree = table.tree
-    _check_args(tree, v, phi_vec, ell, view, False)
+    _check_args(tree, v, phi_vec, ell, view.length, False)
+    ctr = view.buffer.counter
     if tree.is_leaf(v):
         if ell == 2:
-            ctr = view.buffer.counter
             view[0] ^= table.field.mul(phi_vec[0], view[1])
             ctr.multiplications += 1
             ctr.additions += 1
         return
     d = tree.d_of(v)
     w = 1 << d
-    l1, l2 = _split_ceil(ell, w)
-    l2p = min(w, ell)
     va, vd = tree.alpha[v], tree.delta[v]
     mu = list(phi_vec[:d])
     nu = phi_vec[d:]
     shifts = table.phi_alpha[v]
-    ctr = view.buffer.counter
-    for i in range(l1):
-        n2x(va, mu, w, view.sub(w * i, 1, w), table)
-        k = ruler_delta(i)
-        for r in range(d):
-            mu[r] ^= shifts[r][k]
-        ctr.additions += d
-    n2x(va, mu, l2, view.sub(w * l1, 1, l2), table)
-    for j in range(l2):
-        n2x(vd, nu, l1 + 1, view.sub(j, w, l1 + 1), table)
-    for j in range(l2, l2p):
-        n2x(vd, nu, l1, view.sub(j, w, l1), table)
+    for phase in graded_split(d, ell):
+        for row, first, count, shift, sub in phase:
+            for i in range(first, first + count):
+                if not row:
+                    n2x(vd, nu, sub, view.sub(i, w, sub), table)
+                    continue
+                n2x(va, mu, sub, view.sub(w * i, 1, sub), table)
+                if shift:
+                    _advance(mu, shifts, i, ctr)
 
 
 def x2n(v, phi_vec, ell, view, table):
     """Inverse of n2x: columns first, then rows in the same shift order."""
     tree = table.tree
-    _check_args(tree, v, phi_vec, ell, view, False)
+    _check_args(tree, v, phi_vec, ell, view.length, False)
+    ctr = view.buffer.counter
     if tree.is_leaf(v):
         if ell == 2:
-            ctr = view.buffer.counter
             view[0] ^= table.field.mul(phi_vec[0], view[1])
             ctr.multiplications += 1
             ctr.additions += 1
         return
     d = tree.d_of(v)
     w = 1 << d
-    l1, l2 = _split_ceil(ell, w)
-    l2p = min(w, ell)
     va, vd = tree.alpha[v], tree.delta[v]
     mu = list(phi_vec[:d])
     nu = phi_vec[d:]
     shifts = table.phi_alpha[v]
-    ctr = view.buffer.counter
-    for j in range(l2):
-        x2n(vd, nu, l1 + 1, view.sub(j, w, l1 + 1), table)
-    for j in range(l2, l2p):
-        x2n(vd, nu, l1, view.sub(j, w, l1), table)
-    for i in range(l1):
-        x2n(va, mu, w, view.sub(w * i, 1, w), table)
-        k = ruler_delta(i)
-        for r in range(d):
-            mu[r] ^= shifts[r][k]
-        ctr.additions += d
-    x2n(va, mu, l2, view.sub(w * l1, 1, l2), table)
+    for phase in reversed(graded_split(d, ell)):
+        for row, first, count, shift, sub in phase:
+            for i in range(first, first + count):
+                if not row:
+                    x2n(vd, nu, sub, view.sub(i, w, sub), table)
+                    continue
+                x2n(va, mu, sub, view.sub(w * i, 1, sub), table)
+                if shift:
+                    _advance(mu, shifts, i, ctr)
 
 
 def l2x(v, phi_vec, c, ell, b, view, table):
@@ -198,10 +243,10 @@ def l2x(v, phi_vec, c, ell, b, view, table):
         raise ValueError(f"c {c} out of range for ell {ell}")
     if b not in (0, 1) or not 1 <= b + c <= (1 << nv):
         raise ValueError(f"b {b} out of range for c {c}")
-    _check_args(tree, v, phi_vec, ell, view, True)
-    field = table.field
+    _check_args(tree, v, phi_vec, ell, view.length, True)
     ctr = view.buffer.counter
     if tree.is_leaf(v):
+        field = table.field
         ph = phi_vec[0]
         if c == 2:
             view[1] ^= view[0]
@@ -223,35 +268,20 @@ def l2x(v, phi_vec, c, ell, b, view, table):
         return
     d = tree.d_of(v)
     w = 1 << d
-    c1, c2 = divmod(c, w)
-    l1, l2 = divmod(ell, w)
-    l2p = min(w, ell)
-    bp = min(b + c2, 1)
-    s = min(c2, l2)
-    t = max(c2, l2)
+    height = 1 << (nv - d)
     va, vd = tree.alpha[v], tree.delta[v]
     mu = list(phi_vec[:d])
     nu = phi_vec[d:]
     shifts = table.phi_alpha[v]
-    height = 1 << (nv - d)
-    for i in range(c1 + bp - 1):
-        l2x(va, mu, w, w, 0, view.sub(w * i, 1, w), table)
-        k = ruler_delta(i)
-        for r in range(d):
-            mu[r] ^= shifts[r][k]
-        ctr.additions += d
-    if bp == 0:
-        l2x(va, mu, w, w, 0, view.sub(w * (c1 - 1), 1, w), table)
-    for j in range(c2, t):
-        l2x(vd, nu, c1, l1 + 1, bp, view.sub(j, w, height), table)
-    for j in range(t, l2p):
-        l2x(vd, nu, c1, l1, bp, view.sub(j, w, height), table)
-    if bp == 1:
-        l2x(va, mu, c2, l2p, b, view.sub(w * c1, 1, w), table)
-    for j in range(s):
-        l2x(vd, nu, c1 + 1, l1 + 1, 0, view.sub(j, w, height), table)
-    for j in range(s, c2):
-        l2x(vd, nu, c1 + 1, l1, 0, view.sub(j, w, height), table)
+    for phase in l2x_split(d, c, ell, b):
+        for row, first, count, shift, sc, sl, sb in phase:
+            for i in range(first, first + count):
+                if not row:
+                    l2x(vd, nu, sc, sl, sb, view.sub(i, w, height), table)
+                    continue
+                l2x(va, mu, sc, sl, sb, view.sub(w * i, 1, w), table)
+                if shift:
+                    _advance(mu, shifts, i, ctr)
 
 
 def x2l(v, phi_vec, c, ell, view, table):
@@ -264,10 +294,10 @@ def x2l(v, phi_vec, c, ell, view, table):
     nv = tree.n_of(v)
     if not 1 <= c <= (1 << nv):
         raise ValueError(f"c {c} out of range at a {nv}-dim vertex")
-    _check_args(tree, v, phi_vec, ell, view, True)
-    field = table.field
+    _check_args(tree, v, phi_vec, ell, view.length, True)
     ctr = view.buffer.counter
     if tree.is_leaf(v):
+        field = table.field
         ph = phi_vec[0]
         if c == 2 and ell == 2:
             view[0] ^= field.mul(ph, view[1])
@@ -283,150 +313,124 @@ def x2l(v, phi_vec, c, ell, view, table):
         return
     d = tree.d_of(v)
     w = 1 << d
-    c1, c2 = _split_ceil(c, w)
-    l1, l2 = divmod(ell, w)
-    l2p = min(w, ell)
+    height = 1 << (nv - d)
     va, vd = tree.alpha[v], tree.delta[v]
     mu = list(phi_vec[:d])
     nu = phi_vec[d:]
     shifts = table.phi_alpha[v]
-    height = 1 << (nv - d)
-    for j in range(l2):
-        x2l(vd, nu, c1 + 1, l1 + 1, view.sub(j, w, height), table)
-    for j in range(l2, l2p):
-        x2l(vd, nu, c1 + 1, l1, view.sub(j, w, height), table)
-    for i in range(c1):
-        x2l(va, mu, w, l2p, view.sub(w * i, 1, w), table)
-        k = ruler_delta(i)
-        for r in range(d):
-            mu[r] ^= shifts[r][k]
-        ctr.additions += d
-    x2l(va, mu, c2, l2p, view.sub(w * c1, 1, w), table)
+    for phase in x2l_split(d, c, ell):
+        for row, first, count, shift, sc, sl in phase:
+            for i in range(first, first + count):
+                if not row:
+                    x2l(vd, nu, sc, sl, view.sub(i, w, height), table)
+                    continue
+                x2l(va, mu, sc, sl, view.sub(w * i, 1, w), table)
+                if shift:
+                    _advance(mu, shifts, i, ctr)
 
 
-def taylor_expand(t, ell, view):
-    """Coefficients of the expansion at x^t - x, in place.
-
-    Both loop directions run high to low: within a block the target range
-    overlaps the source range shifted by half a block, and the tail of the
-    source must be consumed before it is overwritten.
-    """
+@lru_cache(maxsize=256)
+def _taylor_levels(t, ell):
+    """(block, half, full block pairs, tail) of each Taylor level, lowest first."""
     if t < 2:
         raise ValueError("expansion point requires t >= 2")
-    if len(view) != ell:
-        raise ValueError(f"view length {len(view)}, expected {ell}")
-    ctr = view.buffer.counter
-    for k in range(_clog2(-(-ell // t)) - 1, -1, -1):
-        blk = t << k
-        l1 = ell // (2 * blk)
-        l2 = ell - 2 * blk * l1
-        half = 1 << k
-        for i in range(l1):
-            base = 2 * blk * i
-            for j in range(blk - 1, -1, -1):
-                view[base + half + j] ^= view[base + blk + j]
-            ctr.additions += blk
-        base = 2 * blk * l1
-        for j in range(l2 - blk - 1, -1, -1):
-            view[base + half + j] ^= view[base + blk + j]
-            ctr.additions += 1
-
-
-def taylor_inverse(t, ell, view):
-    """Inverse of taylor_expand: same updates, both loop orders reversed."""
-    if t < 2:
-        raise ValueError("expansion point requires t >= 2")
-    if len(view) != ell:
-        raise ValueError(f"view length {len(view)}, expected {ell}")
-    ctr = view.buffer.counter
+    levels = []
     for k in range(_clog2(-(-ell // t))):
         blk = t << k
         l1 = ell // (2 * blk)
-        l2 = ell - 2 * blk * l1
-        half = 1 << k
-        for i in range(l1):
+        levels.append((blk, 1 << k, l1, ell - 2 * blk * l1))
+    return tuple(levels)
+
+
+def _taylor(t, ell, view, expand):
+    """Shared body of taylor_expand and taylor_inverse.
+
+    Expanding runs both loop directions high to low: within a block the
+    target range overlaps the source range shifted by half a block, and the
+    tail of the source must be consumed before it is overwritten.  The
+    inverse makes the same updates with both loop orders reversed.
+    """
+    levels = _taylor_levels(t, ell)
+    if view.length != ell:
+        raise ValueError(f"view length {view.length}, expected {ell}")
+    ctr = view.buffer.counter
+    for blk, half, l1, l2 in (reversed(levels) if expand else levels):
+        for i in range(l1 + 1):
             base = 2 * blk * i
-            for j in range(blk):
+            n = blk if i < l1 else max(l2 - blk, 0)
+            for j in (range(n - 1, -1, -1) if expand else range(n)):
                 view[base + half + j] ^= view[base + blk + j]
-            ctr.additions += blk
-        base = 2 * blk * l1
-        for j in range(l2 - blk):
-            view[base + half + j] ^= view[base + blk + j]
-            ctr.additions += 1
+            ctr.additions += n
+
+
+def taylor_expand(t, ell, view):
+    """Coefficients of the expansion at x^t - x, in place."""
+    _taylor(t, ell, view, True)
+
+
+def taylor_inverse(t, ell, view):
+    """Inverse of taylor_expand, in place."""
+    _taylor(t, ell, view, False)
+
+
+def _scale_blocks(field, view, w, ell, step):
+    """Multiply block i (entries w*i..w*i+w-1) by step^i for each i >= 1.
+
+    One multiplication per entry past the first block, and one per power
+    of step after the first.
+    """
+    ctr = view.buffer.counter
+    acc = step
+    for base in range(w, ell, w):
+        if base > w:
+            acc = field.mul(acc, step)
+            ctr.multiplications += 1
+        end = min(base + w, ell)
+        for j in range(base, end):
+            view[j] = field.mul(acc, view[j])
+        ctr.multiplications += end - base
 
 
 def x2m(v, ell, view, table):
     """Twisted graded coefficients to monomial coefficients, in place."""
     tree = table.tree
-    _check_args(tree, v, None, ell, view, False)
+    _check_args(tree, v, None, ell, view.length, False)
     if ell <= 2:
         return
     d = tree.d_of(v)
     w = 1 << d
-    l1, l2 = _split_ceil(ell, w)
-    l2p = min(w, ell)
     va, vd = tree.alpha[v], tree.delta[v]
-    for i in range(l1):
-        x2m(va, w, view.sub(w * i, 1, w), table)
-    x2m(va, l2, view.sub(w * l1, 1, l2), table)
-    for j in range(l2):
-        x2m(vd, l1 + 1, view.sub(j, w, l1 + 1), table)
-    for j in range(l2, l2p):
-        x2m(vd, l1, view.sub(j, w, l1), table)
-    if l1 != 0 and table.delta_head(v) != 1:
-        field = table.field
-        ctr = view.buffer.counter
-        step = table.delta_head_inv(v)
-        acc = step
-        for i in range(1, l1):
-            base = w * i
-            for j in range(w):
-                view[base + j] = field.mul(acc, view[base + j])
-            ctr.multiplications += w
-            acc = field.mul(acc, step)
-            ctr.multiplications += 1
-        base = w * l1
-        for j in range(l2):
-            view[base + j] = field.mul(acc, view[base + j])
-        ctr.multiplications += l2
-    taylor_inverse(w, ell, view)
+    for phase in graded_split(d, ell):
+        for row, first, count, _, sub in phase:
+            for i in range(first, first + count):
+                if not row:
+                    x2m(vd, sub, view.sub(i, w, sub), table)
+                    continue
+                x2m(va, sub, view.sub(w * i, 1, sub), table)
+    if ell > w and table.delta_head(v) != 1:
+        _scale_blocks(table.field, view, w, ell, table.delta_head_inv(v))
+    _taylor(w, ell, view, False)
 
 
 def m2x(v, ell, view, table):
     """Inverse of x2m: expand, scale blocks up, then columns and rows."""
     tree = table.tree
-    _check_args(tree, v, None, ell, view, False)
+    _check_args(tree, v, None, ell, view.length, False)
     if ell <= 2:
         return
     d = tree.d_of(v)
     w = 1 << d
-    l1, l2 = _split_ceil(ell, w)
-    l2p = min(w, ell)
     va, vd = tree.alpha[v], tree.delta[v]
-    taylor_expand(w, ell, view)
-    if l1 != 0 and table.delta_head(v) != 1:
-        field = table.field
-        ctr = view.buffer.counter
-        step = table.delta_head(v)
-        acc = step
-        for i in range(1, l1):
-            base = w * i
-            for j in range(w):
-                view[base + j] = field.mul(acc, view[base + j])
-            ctr.multiplications += w
-            acc = field.mul(step, acc)
-            ctr.multiplications += 1
-        base = w * l1
-        for j in range(l2):
-            view[base + j] = field.mul(acc, view[base + j])
-        ctr.multiplications += l2
-    for j in range(l2):
-        m2x(vd, l1 + 1, view.sub(j, w, l1 + 1), table)
-    for j in range(l2, l2p):
-        m2x(vd, l1, view.sub(j, w, l1), table)
-    for i in range(l1):
-        m2x(va, w, view.sub(w * i, 1, w), table)
-    m2x(va, l2, view.sub(w * l1, 1, l2), table)
+    _taylor(w, ell, view, True)
+    if ell > w and table.delta_head(v) != 1:
+        _scale_blocks(table.field, view, w, ell, table.delta_head(v))
+    for phase in reversed(graded_split(d, ell)):
+        for row, first, count, _, sub in phase:
+            for i in range(first, first + count):
+                if not row:
+                    m2x(vd, sub, view.sub(i, w, sub), table)
+                    continue
+                m2x(va, sub, view.sub(w * i, 1, sub), table)
 
 
 def scale_by_powers(field, view, w):
@@ -450,30 +454,63 @@ def scale_by_powers(field, view, w):
         ctr.twist_multiplications += 2
 
 
+def _check_convert(kind_from, kind_to, tree, ell):
+    for kind in (kind_from, kind_to):
+        if kind not in BASIS_KINDS:
+            raise ValueError(f"unknown basis kind {kind!r}")
+    n = tree.size[0]
+    if not 1 <= ell <= (1 << n):
+        raise ValueError(f"ell {ell} out of range for dimension {n}")
+
+
+def run_transform(name, v, phi_vec, c, ell, b, data, table):
+    """Run one raw transform at vertex v on data; returns (output, OpCounter).
+
+    l2x and x2l work in a zero-padded scratch of 2^n_v entries and return
+    its first max(c, ell); the others ignore c and b, and x2m and m2x also
+    phi_vec.
+    """
+    if name in ("l2x", "x2l"):
+        buf = CoeffBuffer(list(data) + [0] * ((1 << table.tree.n_of(v)) - ell))
+        if name == "l2x":
+            l2x(v, phi_vec, c, ell, b, buf.view(), table)
+        else:
+            x2l(v, phi_vec, c, ell, buf.view(), table)
+        return buf.data[:max(c, ell)], buf.counter
+    buf = CoeffBuffer(data)
+    if name in ("x2m", "m2x"):
+        (x2m if name == "x2m" else m2x)(v, ell, buf.view(), table)
+    else:
+        {"n2x": n2x, "x2n": x2n}[name](v, phi_vec, ell, buf.view(), table)
+    return buf.data, buf.counter
+
+
 def convert(field, kind_from, kind_to, beta, tree, lam, ell, coeffs, table=None):
     """Convert between two named bases; returns (coefficients, OpCounter).
 
     All pairs route through the graded basis.  The substitution needed by
     the monomial legs is counted in twist_multiplications; lam is ignored
-    by those legs, which carry no evaluation shift.
+    by those legs, which carry no evaluation shift.  A given table fixes
+    the field, basis and tree, and the ones passed must match it.
     """
-    for kind in (kind_from, kind_to):
-        if kind not in BASIS_KINDS:
-            raise ValueError(f"unknown basis kind {kind!r}")
     if table is None:
         table = build_tables(field, tree, beta)
+    elif (field, tuple(beta), tree) != (table.field, table.beta, table.tree):
+        raise ValueError("field, basis or tree does not match the table")
+    field, beta, tree = table.field, table.beta, table.tree
+    _check_convert(kind_from, kind_to, tree, ell)
     n = tree.size[0]
-    if not 1 <= ell <= (1 << n):
-        raise ValueError(f"ell {ell} out of range for dimension {n}")
     coeffs = list(coeffs)
     if len(coeffs) != ell:
         raise ValueError(f"expected {ell} coefficients, got {len(coeffs)}")
+    if min(coeffs) < 0 or max(coeffs) >= field.order:
+        raise ValueError(f"coefficient outside GF(2^{field.degree})")
+    if not 0 <= lam < field.order:
+        raise ValueError(f"lam {lam} outside GF(2^{field.degree})")
     counter = OpCounter()
     if kind_from == kind_to:
         return coeffs, counter
-    phi_vec = None
-    if kind_from != "monomial" or kind_to != "monomial":
-        phi_vec = initial_phi_vector(field, tree, table.bases, lam)
+    phi_vec = initial_phi_vector(field, tree, table.bases, lam)
 
     if kind_from == "lch":
         work = coeffs
@@ -512,197 +549,80 @@ class CountModel:
 
     Counts are data-independent: the recursion shape depends only on the
     vertex and length parameters, and the scaling guards only on stored
-    table heads.  Memoization makes whole-range ell sweeps cheap where
-    executing the transforms would not be.
+    table heads.  One memoized replay sums each family's split by group
+    multiplicity, so whole-range ell sweeps are cheap where executing the
+    transforms would not be.
     """
+
+    # Family, named by one of its executors -> (split, whether rows advance
+    # a shift vector).  x2n counts as n2x does, and m2x as x2m.
+    _FAMILIES = {"n2x": (graded_split, True), "x2m": (graded_split, False),
+                 "l2x": (l2x_split, True), "x2l": (x2l_split, True)}
 
     def __init__(self, table):
         self.table = table
         self.tree = table.tree
-        self._nx = {}
-        self._l2x = {}
-        self._x2l = {}
-        self._xm = {}
+        self._memo = {}
+
+    def _count(self, family, v, args):
+        """(additions, multiplications) of one executor call of a family."""
+        key = (family, v, args)
+        memo = self._memo
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        tree = self.tree
+        if tree.alpha[v] < 0 or family == "x2m" and args[0] <= 2:
+            # A call without child calls costs the same at every vertex.
+            hit = memo.get((family, None, args))
+            if hit is None:
+                hit = memo[family, None, args] = self._run_on_zeros(family, v, args)
+        else:
+            split, shifted = self._FAMILIES[family]
+            va, vd = tree.alpha[v], tree.delta[v]
+            d = tree.size[va]
+            a = m = 0
+            for phase in split(d, *args):
+                for group in phase:
+                    count = group[2]
+                    if count:
+                        ca, cm = self._count(family, va if group[0] else vd, group[4:])
+                        a += count * (ca + d * (group[3] and shifted))
+                        m += count * cm
+            if family == "x2m":
+                ell, w = args[0], 1 << d
+                a += self.taylor(w, ell)
+                if ell > w and self.table.delta_head(v) != 1:
+                    m += ell - w + -(-ell // w) - 2  # _scale_blocks
+            hit = (a, m)
+        memo[key] = hit
+        return hit
+
+    def _run_on_zeros(self, family, v, args):
+        """Counts of a call without child calls, read off one run on zeros."""
+        # args as run_transform takes them: (c, ell, b).
+        c, ell, b = {"l2x": args, "x2l": args + (0,)}.get(family, args * 2 + (0,))
+        _, ctr = run_transform(family, v, [0], c, ell, b, [0] * ell, self.table)
+        return ctr.totals()[:2]
 
     def nx(self, v, ell):
         """(additions, multiplications) of n2x and of x2n."""
-        key = (v, ell)
-        hit = self._nx.get(key)
-        if hit is not None:
-            return hit
-        tree = self.tree
-        if tree.is_leaf(v):
-            hit = (1, 1) if ell == 2 else (0, 0)
-        else:
-            d = tree.d_of(v)
-            w = 1 << d
-            l1, l2 = _split_ceil(ell, w)
-            l2p = min(w, ell)
-            va, vd = tree.alpha[v], tree.delta[v]
-            a = m = 0
-            if l1:
-                ra, rm = self.nx(va, w)
-                a += l1 * (ra + d)
-                m += l1 * rm
-            ra, rm = self.nx(va, l2)
-            a += ra
-            m += rm
-            if l2:
-                ca, cm = self.nx(vd, l1 + 1)
-                a += l2 * ca
-                m += l2 * cm
-            if l2p > l2:
-                ca, cm = self.nx(vd, l1)
-                a += (l2p - l2) * ca
-                m += (l2p - l2) * cm
-            hit = (a, m)
-        self._nx[key] = hit
-        return hit
+        return self._count("n2x", v, (ell,))
 
     def l2x(self, v, c, ell, b):
-        key = (v, c, ell, b)
-        hit = self._l2x.get(key)
-        if hit is not None:
-            return hit
-        tree = self.tree
-        if tree.is_leaf(v):
-            if c == 2 or (c == 1 and ell == 2 and b == 1):
-                hit = (2, 1)
-            elif ell == 2 and (c == 1 or c == 0):
-                hit = (1, 1)
-            else:
-                hit = (0, 0)
-        else:
-            d = tree.d_of(v)
-            w = 1 << d
-            c1, c2 = divmod(c, w)
-            l1, l2 = divmod(ell, w)
-            l2p = min(w, ell)
-            bp = min(b + c2, 1)
-            s = min(c2, l2)
-            t = max(c2, l2)
-            va, vd = tree.alpha[v], tree.delta[v]
-            a = m = 0
-            rows = c1 + bp - 1
-            if rows > 0:
-                ra, rm = self.l2x(va, w, w, 0)
-                a += rows * (ra + d)
-                m += rows * rm
-            if bp == 0:
-                ra, rm = self.l2x(va, w, w, 0)
-                a += ra
-                m += rm
-            if t > c2:
-                ca, cm = self.l2x(vd, c1, l1 + 1, bp)
-                a += (t - c2) * ca
-                m += (t - c2) * cm
-            if l2p > t:
-                ca, cm = self.l2x(vd, c1, l1, bp)
-                a += (l2p - t) * ca
-                m += (l2p - t) * cm
-            if bp == 1:
-                ra, rm = self.l2x(va, c2, l2p, b)
-                a += ra
-                m += rm
-            if s > 0:
-                ca, cm = self.l2x(vd, c1 + 1, l1 + 1, 0)
-                a += s * ca
-                m += s * cm
-            if c2 > s:
-                ca, cm = self.l2x(vd, c1 + 1, l1, 0)
-                a += (c2 - s) * ca
-                m += (c2 - s) * cm
-            hit = (a, m)
-        self._l2x[key] = hit
-        return hit
+        return self._count("l2x", v, (c, ell, b))
 
     def x2l(self, v, c, ell):
-        key = (v, c, ell)
-        hit = self._x2l.get(key)
-        if hit is not None:
-            return hit
-        tree = self.tree
-        if tree.is_leaf(v):
-            if c == 2 and ell == 2:
-                hit = (2, 1)
-            elif c == 1 and ell == 2:
-                hit = (1, 1)
-            else:
-                hit = (0, 0)
-        else:
-            d = tree.d_of(v)
-            w = 1 << d
-            c1, c2 = _split_ceil(c, w)
-            l1, l2 = divmod(ell, w)
-            l2p = min(w, ell)
-            va, vd = tree.alpha[v], tree.delta[v]
-            a = m = 0
-            if l2:
-                ca, cm = self.x2l(vd, c1 + 1, l1 + 1)
-                a += l2 * ca
-                m += l2 * cm
-            if l2p > l2:
-                ca, cm = self.x2l(vd, c1 + 1, l1)
-                a += (l2p - l2) * ca
-                m += (l2p - l2) * cm
-            if c1:
-                ra, rm = self.x2l(va, w, l2p)
-                a += c1 * (ra + d)
-                m += c1 * rm
-            ra, rm = self.x2l(va, c2, l2p)
-            a += ra
-            m += rm
-            hit = (a, m)
-        self._x2l[key] = hit
-        return hit
-
-    def taylor(self, t, ell):
-        """Additions of taylor_expand and of taylor_inverse."""
-        adds = 0
-        for k in range(_clog2(-(-ell // t))):
-            blk = t << k
-            l1 = ell // (2 * blk)
-            l2 = ell - 2 * blk * l1
-            adds += blk * l1 + max(l2 - blk, 0)
-        return adds
+        return self._count("x2l", v, (c, ell))
 
     def xm(self, v, ell):
         """(additions, multiplications) of x2m and of m2x."""
-        key = (v, ell)
-        hit = self._xm.get(key)
-        if hit is not None:
-            return hit
-        if ell <= 2:
-            hit = (0, 0)
-        else:
-            tree = self.tree
-            d = tree.d_of(v)
-            w = 1 << d
-            l1, l2 = _split_ceil(ell, w)
-            l2p = min(w, ell)
-            va, vd = tree.alpha[v], tree.delta[v]
-            a = m = 0
-            if l1:
-                ra, rm = self.xm(va, w)
-                a += l1 * ra
-                m += l1 * rm
-            ra, rm = self.xm(va, l2)
-            a += ra
-            m += rm
-            if l2:
-                ca, cm = self.xm(vd, l1 + 1)
-                a += l2 * ca
-                m += l2 * cm
-            if l2p > l2:
-                ca, cm = self.xm(vd, l1)
-                a += (l2p - l2) * ca
-                m += (l2p - l2) * cm
-            if l1 != 0 and self.table.delta_head(v) != 1:
-                m += (l1 - 1) * (w + 1) + l2
-            a += self.taylor(w, ell)
-            hit = (a, m)
-        self._xm[key] = hit
-        return hit
+        return self._count("x2m", v, (ell,))
+
+    def taylor(self, t, ell):
+        """Additions of taylor_expand and of taylor_inverse."""
+        return sum(blk * l1 + max(l2 - blk, 0)
+                   for blk, _, l1, l2 in _taylor_levels(t, ell))
 
     def twist(self, ell):
         """Multiplications of the x -> beta_0 x substitution."""
@@ -712,12 +632,7 @@ class CountModel:
 
     def convert(self, kind_from, kind_to, ell):
         """(additions, multiplications, twist_multiplications) of convert()."""
-        for kind in (kind_from, kind_to):
-            if kind not in BASIS_KINDS:
-                raise ValueError(f"unknown basis kind {kind!r}")
-        n = self.tree.size[0]
-        if not 1 <= ell <= (1 << n):
-            raise ValueError(f"ell {ell} out of range for dimension {n}")
+        _check_convert(kind_from, kind_to, self.tree, ell)
         if kind_from == kind_to:
             return (0, 0, 0)
         a = m = tw = 0

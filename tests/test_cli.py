@@ -2,7 +2,7 @@
 
 import pytest
 
-from binbasis.cli import RunConfig, main
+from binbasis.cli import RunConfig, main, resolve_field
 
 
 def run(capsys, *argv):
@@ -222,6 +222,12 @@ def test_bounds_rejects_convert(capsys):
                        "--tree", "cantor", "--n", "4",
                        "--transform", "convert:monomial-newton")
     assert code == 1 and "raw transforms" in err
+
+
+def test_resolve_field_shares_instances():
+    spec = "16:0x1002b"
+    assert resolve_field(spec) is resolve_field(spec)
+    assert resolve_field(spec) is resolve_field("16")
 
 
 def test_runconfig_roundtrip():

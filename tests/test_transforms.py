@@ -396,7 +396,7 @@ def test_counts_match_model_graded_and_lagrange():
 
 def test_counts_match_model_mixed():
     rng = random.Random(111)
-    for table in (SMALL[0], next(t for t in SMALL if t.tree.size[0] == 4)):
+    for table in SMALL:
         size = 1 << table.tree.size[0]
         model = CountModel(table)
         lam = rng.randrange(table.field.order)
@@ -451,6 +451,32 @@ def test_convert_all_pairs_match_oracle():
                     assert ctr.totals() == model.convert(kf, kt, ell)
                     if kf == kt:
                         assert ctr.totals() == (0, 0, 0)
+
+
+def test_convert_rejects_mismatched_table():
+    beta = construct_cantor(GF8, 4)
+    tree = build_cantor_tree(4)
+    table = build_tables(GF8, tree, beta)
+    coeffs = rand_elems(random.Random(5), GF8, 16)
+    scaled = scaled_cantor(GF8, 4, GF8.primitive_element())
+    for field, basis, shape in ((GF8, scaled, tree), (GF8, beta, build_trivial(4)),
+                                (GF16, beta, tree)):
+        for kf, kt in (("lagrange", "monomial"), ("monomial", "newton")):
+            with pytest.raises(ValueError):
+                convert(field, kf, kt, basis, shape, 0, 16, coeffs, table)
+    out, _ = convert(GF8, "lagrange", "monomial", list(beta), tree, 0, 16, coeffs, table)
+    assert out == oracle_convert(GF8, "lagrange", "monomial", beta, 0, 16, coeffs)
+
+
+def test_convert_rejects_elements_outside_field():
+    table = next(t for t in SMALL if t.tree.size[0] == 2)
+    for coeffs in ([300, 1, 2, 3], [0, 1, 2, -1]):
+        with pytest.raises(ValueError):
+            convert(GF8, "newton", "lch", table.beta, table.tree, 0, 4, coeffs, table)
+    for lam in (256, 300, -1):
+        with pytest.raises(ValueError):
+            convert(GF8, "newton", "lagrange", table.beta, table.tree, lam, 4,
+                    [0, 1, 2, 3], table)
 
 
 def test_convert_twist_counter():
