@@ -128,11 +128,19 @@ def resolve_field(spec):
         raise CliError(str(exc))
 
 
+def _block_size(spec):
+    """The block size t of a `gencantor:<t>` or `graft:<t>` spec."""
+    t = int(spec.split(":", 1)[1])
+    if t < 1:
+        raise CliError(f"block size in {spec!r} must be at least 1")
+    return t
+
+
 def build_basis(field, source, n):
     if source == "cantor":
         return construct_cantor(field, n)
     if source.startswith("gencantor:"):
-        t = int(source.split(":", 1)[1])
+        t = _block_size(source)
         m_levels = max(((n - 1) // t).bit_length(), 1)
         theta = subfield_basis_powers(field, 1, t)
         return construct_gen_cantor(field, m_levels, t, theta)[:n]
@@ -166,7 +174,7 @@ def build_tree(strategy, n):
     if strategy.startswith("balanced:"):
         return build_balanced_tree(n, _strategy_degrees(strategy.split(":", 1)[1]))
     if strategy.startswith("graft:"):
-        t = int(strategy.split(":", 1)[1])
+        t = _block_size(strategy)
         blocks = -(-n // t)
         base = [build_trivial(min(t, n - i * t)) for i in range(blocks)]
         return graft_cantor_tree(t, n, base)

@@ -14,6 +14,9 @@ occupies a contiguous id range, so per-vertex data can be kept in flat lists.
 from binbasis.basisgen import delta_of
 
 LEAF = "*"
+# Fields have degree at most 32, so no usable tree has more than 32 leaves
+# and none is nested deeper than 31 levels.
+MAX_PARSE_DEPTH = 32
 
 
 class ReductionTree:
@@ -91,27 +94,30 @@ class ReductionTree:
 
     @classmethod
     def parse(cls, text):
+        """Tree from its serialize() form, nested at most MAX_PARSE_DEPTH deep."""
         pos = 0
 
-        def node():
+        def node(depth):
             nonlocal pos
             if pos < len(text) and text[pos] == LEAF:
                 pos += 1
                 return LEAF
             if pos >= len(text) or text[pos] != "(":
                 raise ValueError(f"expected '(' or '{LEAF}' at position {pos}")
+            if depth == MAX_PARSE_DEPTH:
+                raise ValueError(f"tree nested deeper than {MAX_PARSE_DEPTH} at position {pos}")
             pos += 1
-            left = node()
+            left = node(depth + 1)
             if pos >= len(text) or text[pos] != ",":
                 raise ValueError(f"expected ',' at position {pos}")
             pos += 1
-            right = node()
+            right = node(depth + 1)
             if pos >= len(text) or text[pos] != ")":
                 raise ValueError(f"expected ')' at position {pos}")
             pos += 1
             return (left, right)
 
-        shape = node()
+        shape = node(0)
         if pos != len(text):
             raise ValueError(f"trailing characters at position {pos}")
         return cls.from_shape(shape)

@@ -105,7 +105,7 @@ def _clog2(x):
 
 
 def _check_args(tree, v, phi_vec, ell, length, full_view):
-    nv = tree.n_of(v)
+    nv = tree.size[v]
     if not 1 <= ell <= (1 << nv):
         raise ValueError(f"ell {ell} out of range at a {nv}-dim vertex")
     want = (1 << nv) if full_view else ell
@@ -117,7 +117,7 @@ def _check_args(tree, v, phi_vec, ell, length, full_view):
 
 # A split lists the child calls at an internal vertex whose alpha child has
 # dimension d.  It is a tuple of phases, each a tuple of groups
-# (row, first, count, shift, *child args): rows first..first+count-1 of the
+# (row, first, count, shift, child args): rows first..first+count-1 of the
 # 2^(n_v-d) x 2^d matrix view go to the alpha child, columns to the delta
 # child.  A row group with shift set advances the alpha shift vector by
 # phi_alpha[v][.][ruler_delta(i)] after row i, at d additions; row i always
@@ -132,8 +132,9 @@ def graded_split(d, ell):
     # l1 = ceil(ell/w) - 1, so the last row has 1..w entries.
     l1 = -(-ell // w) - 1
     l2 = ell - w * l1
-    return (((True, 0, l1, True, w), (True, l1, 1, False, l2)),
-            ((False, 0, l2, False, l1 + 1), (False, l2, min(w, ell) - l2, False, l1)))
+    return (((True, 0, l1, True, (w,)), (True, l1, 1, False, (l2,))),
+            ((False, 0, l2, False, (l1 + 1,)),
+             (False, l2, min(w, ell) - l2, False, (l1,))))
 
 
 @lru_cache(maxsize=256)
@@ -145,13 +146,13 @@ def l2x_split(d, c, ell, b):
     bp = min(b + c2, 1)
     s = min(c2, l2)
     t = max(c2, l2)
-    return (((True, 0, c1 + bp - 1, True, w, w, 0),
-             (True, c1 - 1, 1 - bp, False, w, w, 0)),
-            ((False, c2, t - c2, False, c1, l1 + 1, bp),
-             (False, t, min(w, ell) - t, False, c1, l1, bp)),
-            ((True, c1, bp, False, c2, min(w, ell), b),),
-            ((False, 0, s, False, c1 + 1, l1 + 1, 0),
-             (False, s, c2 - s, False, c1 + 1, l1, 0)))
+    return (((True, 0, c1 + bp - 1, True, (w, w, 0)),
+             (True, c1 - 1, 1 - bp, False, (w, w, 0))),
+            ((False, c2, t - c2, False, (c1, l1 + 1, bp)),
+             (False, t, min(w, ell) - t, False, (c1, l1, bp))),
+            ((True, c1, bp, False, (c2, min(w, ell), b)),),
+            ((False, 0, s, False, (c1 + 1, l1 + 1, 0)),
+             (False, s, c2 - s, False, (c1 + 1, l1, 0))))
 
 
 @lru_cache(maxsize=256)
@@ -161,9 +162,9 @@ def x2l_split(d, c, ell):
     c1 = -(-c // w) - 1
     l1, l2 = divmod(ell, w)
     l2p = min(w, ell)
-    return (((False, 0, l2, False, c1 + 1, l1 + 1),
-             (False, l2, l2p - l2, False, c1 + 1, l1)),
-            ((True, 0, c1, True, w, l2p), (True, c1, 1, False, c - w * c1, l2p)))
+    return (((False, 0, l2, False, (c1 + 1, l1 + 1)),
+             (False, l2, l2p - l2, False, (c1 + 1, l1))),
+            ((True, 0, c1, True, (w, l2p)), (True, c1, 1, False, (c - w * c1, l2p))))
 
 
 def _advance(mu, shifts, i, ctr):
@@ -174,60 +175,166 @@ def _advance(mu, shifts, i, ctr):
     ctr.additions += len(mu)
 
 
-def n2x(v, phi_vec, ell, view, table):
-    """Rewrite shifted-Newton coefficients as graded coefficients, in place."""
-    tree = table.tree
-    _check_args(tree, v, phi_vec, ell, view.length, False)
-    ctr = view.buffer.counter
-    if tree.is_leaf(v):
+# A group of child calls whose child is a leaf runs as one loop over the
+# buffer list, not as one executor call per leaf.  Leaf call i of a group
+# (first <= i < first + count) reads its entries 0 and 1 at buffer indices
+# p and p + gap, where p = lo + step * (i - first); it runs at leaf shift
+# ph, which advances after each call when shifts is given (a row group
+# with shift set, as _advance does at a one-dimensional alpha child).  A
+# kernel returns the shift after the group.  A call whose root is a leaf
+# runs its family's kernel as a group of one, so each leaf case is written
+# once.
+
+
+def _graded_leaves(buf, mul, ph, shifts, first, count, lo, step, gap, args):
+    """Leaf calls of n2x and x2n; args is (ell,)."""
+    data = buf.data
+    two = args[0] == 2
+    i = first
+    for p in range(lo, lo + step * count, step):
+        if two:
+            data[p] ^= mul(ph, data[p + gap])
+        if shifts is not None:
+            ph ^= shifts[((i + 1) & ~i).bit_length() - 1]
+            i += 1
+    ctr = buf.counter
+    if two:
+        ctr.additions += count
+        ctr.multiplications += count
+    if shifts is not None:
+        ctr.additions += count
+    return ph
+
+
+def _l2x_leaves(buf, mul, ph, shifts, first, count, lo, step, gap, args):
+    """Leaf calls of l2x; args is (c, ell, b)."""
+    c, ell, b = args
+    data = buf.data
+    i = first
+    for p in range(lo, lo + step * count, step):
+        q = p + gap
+        if c == 2:
+            data[q] ^= data[p]
+            data[p] ^= mul(ph, data[q])
+        elif ell == 2 and c == b == 1:
+            known = mul(ph, data[q])
+            data[q] ^= data[p]
+            data[p] ^= known
+        elif ell == 2:
+            data[p] ^= mul(ph, data[q])
+        elif c == b == 1:
+            data[q] = data[p]
+        if shifts is not None:
+            ph ^= shifts[((i + 1) & ~i).bit_length() - 1]
+            i += 1
+    ctr = buf.counter
+    if ell == 2:
+        ctr.additions += (2 if c == 2 or c == b == 1 else 1) * count
+        ctr.multiplications += count
+    if shifts is not None:
+        ctr.additions += count
+    return ph
+
+
+def _x2l_leaves(buf, mul, ph, shifts, first, count, lo, step, gap, args):
+    """Leaf calls of x2l; args is (c, ell)."""
+    c, ell = args
+    data = buf.data
+    i = first
+    for p in range(lo, lo + step * count, step):
+        q = p + gap
         if ell == 2:
-            view[0] ^= table.field.mul(phi_vec[0], view[1])
-            ctr.multiplications += 1
-            ctr.additions += 1
-        return
-    d = tree.d_of(v)
-    w = 1 << d
+            data[p] ^= mul(ph, data[q])
+            if c == 2:
+                data[q] ^= data[p]
+        elif c == 2:
+            data[q] = data[p]
+        if shifts is not None:
+            ph ^= shifts[((i + 1) & ~i).bit_length() - 1]
+            i += 1
+    ctr = buf.counter
+    if ell == 2:
+        ctr.additions += (2 if c == 2 else 1) * count
+        ctr.multiplications += count
+    if shifts is not None:
+        ctr.additions += count
+    return ph
+
+
+def _walk(fn, leaves, v, phi_vec, view, table, phases, full):
+    """Child calls of internal vertex v over the given phases of its split.
+
+    Groups whose child is a leaf run through the family's leaf kernel after
+    one check that their first and last entries lie in view; the others
+    call fn on a strided subview per row or column.  With full set a child
+    sees its whole 2^n scratch (l2x, x2l), else its ell entries.
+    """
+    tree = table.tree
+    buf = view.buffer
+    ctr = buf.counter
+    mul = table.field.mul
     va, vd = tree.alpha[v], tree.delta[v]
+    d = tree.size[va]
+    w = 1 << d
+    height = 1 << tree.size[vd]
+    leaf_a, leaf_d = tree.alpha[va] < 0, tree.alpha[vd] < 0
     mu = list(phi_vec[:d])
     nu = phi_vec[d:]
     shifts = table.phi_alpha[v]
-    for phase in graded_split(d, ell):
-        for row, first, count, shift, sub in phase:
-            for i in range(first, first + count):
-                if not row:
-                    n2x(vd, nu, sub, view.sub(i, w, sub), table)
+    o, s, n = view.offset, view.stride, view.length
+    for phase in phases:
+        for row, first, count, shift, args in phase:
+            if not count:
+                continue
+            if row:
+                length = w if full else args[0]
+                if leaf_a:
+                    if first < 0 or w * (first + count - 1) + length > n:
+                        raise ValueError("leaf group exceeds parent view")
+                    mu[0] = leaves(buf, mul, mu[0], shifts[0] if shift else None,
+                                   first, count, o + s * w * first, s * w, s, args)
                     continue
-                n2x(va, mu, sub, view.sub(w * i, 1, sub), table)
-                if shift:
-                    _advance(mu, shifts, i, ctr)
+                for i in range(first, first + count):
+                    fn(va, mu, *args, view.sub(w * i, 1, length), table)
+                    if shift:
+                        _advance(mu, shifts, i, ctr)
+                continue
+            length = height if full else args[0]
+            if leaf_d:
+                if first < 0 or first + count - 1 + w * (length - 1) >= n:
+                    raise ValueError("leaf group exceeds parent view")
+                leaves(buf, mul, nu[0], None, first, count, o + s * first, s, s * w, args)
+                continue
+            for i in range(first, first + count):
+                fn(vd, nu, *args, view.sub(i, w, length), table)
+
+
+def _leaf_root(leaves, view, table, phi_vec, args):
+    """A call whose root is a leaf: its family's kernel as a group of one."""
+    leaves(view.buffer, table.field.mul, phi_vec[0], None, 0, 1,
+           view.offset, view.stride, view.stride, args)
+
+
+def _graded(fn, v, phi_vec, ell, view, table, inverse):
+    """Shared body of n2x and x2n; the inverse walks the phases in reverse."""
+    tree = table.tree
+    _check_args(tree, v, phi_vec, ell, view.length, False)
+    if tree.is_leaf(v):
+        _leaf_root(_graded_leaves, view, table, phi_vec, (ell,))
+        return
+    split = graded_split(tree.d_of(v), ell)
+    _walk(fn, _graded_leaves, v, phi_vec, view, table,
+          reversed(split) if inverse else split, False)
+
+
+def n2x(v, phi_vec, ell, view, table):
+    """Rewrite shifted-Newton coefficients as graded coefficients, in place."""
+    _graded(n2x, v, phi_vec, ell, view, table, False)
 
 
 def x2n(v, phi_vec, ell, view, table):
     """Inverse of n2x: columns first, then rows in the same shift order."""
-    tree = table.tree
-    _check_args(tree, v, phi_vec, ell, view.length, False)
-    ctr = view.buffer.counter
-    if tree.is_leaf(v):
-        if ell == 2:
-            view[0] ^= table.field.mul(phi_vec[0], view[1])
-            ctr.multiplications += 1
-            ctr.additions += 1
-        return
-    d = tree.d_of(v)
-    w = 1 << d
-    va, vd = tree.alpha[v], tree.delta[v]
-    mu = list(phi_vec[:d])
-    nu = phi_vec[d:]
-    shifts = table.phi_alpha[v]
-    for phase in reversed(graded_split(d, ell)):
-        for row, first, count, shift, sub in phase:
-            for i in range(first, first + count):
-                if not row:
-                    x2n(vd, nu, sub, view.sub(i, w, sub), table)
-                    continue
-                x2n(va, mu, sub, view.sub(w * i, 1, sub), table)
-                if shift:
-                    _advance(mu, shifts, i, ctr)
+    _graded(x2n, v, phi_vec, ell, view, table, True)
 
 
 def l2x(v, phi_vec, c, ell, b, view, table):
@@ -244,44 +351,11 @@ def l2x(v, phi_vec, c, ell, b, view, table):
     if b not in (0, 1) or not 1 <= b + c <= (1 << nv):
         raise ValueError(f"b {b} out of range for c {c}")
     _check_args(tree, v, phi_vec, ell, view.length, True)
-    ctr = view.buffer.counter
     if tree.is_leaf(v):
-        field = table.field
-        ph = phi_vec[0]
-        if c == 2:
-            view[1] ^= view[0]
-            view[0] ^= field.mul(ph, view[1])
-            ctr.additions += 2
-            ctr.multiplications += 1
-        elif c == 1 and ell == 2 and b == 1:
-            known = field.mul(ph, view[1])
-            ctr.multiplications += 1
-            view[1] ^= view[0]
-            view[0] ^= known
-            ctr.additions += 2
-        elif (c == 1 and ell == 2) or (c == 0 and ell == 2):
-            view[0] ^= field.mul(ph, view[1])
-            ctr.additions += 1
-            ctr.multiplications += 1
-        elif c == 1 and ell == 1 and b == 1:
-            view[1] = view[0]
+        _leaf_root(_l2x_leaves, view, table, phi_vec, (c, ell, b))
         return
-    d = tree.d_of(v)
-    w = 1 << d
-    height = 1 << (nv - d)
-    va, vd = tree.alpha[v], tree.delta[v]
-    mu = list(phi_vec[:d])
-    nu = phi_vec[d:]
-    shifts = table.phi_alpha[v]
-    for phase in l2x_split(d, c, ell, b):
-        for row, first, count, shift, sc, sl, sb in phase:
-            for i in range(first, first + count):
-                if not row:
-                    l2x(vd, nu, sc, sl, sb, view.sub(i, w, height), table)
-                    continue
-                l2x(va, mu, sc, sl, sb, view.sub(w * i, 1, w), table)
-                if shift:
-                    _advance(mu, shifts, i, ctr)
+    _walk(l2x, _l2x_leaves, v, phi_vec, view, table,
+          l2x_split(tree.d_of(v), c, ell, b), True)
 
 
 def x2l(v, phi_vec, c, ell, view, table):
@@ -295,38 +369,11 @@ def x2l(v, phi_vec, c, ell, view, table):
     if not 1 <= c <= (1 << nv):
         raise ValueError(f"c {c} out of range at a {nv}-dim vertex")
     _check_args(tree, v, phi_vec, ell, view.length, True)
-    ctr = view.buffer.counter
     if tree.is_leaf(v):
-        field = table.field
-        ph = phi_vec[0]
-        if c == 2 and ell == 2:
-            view[0] ^= field.mul(ph, view[1])
-            view[1] ^= view[0]
-            ctr.additions += 2
-            ctr.multiplications += 1
-        elif c == 1 and ell == 2:
-            view[0] ^= field.mul(ph, view[1])
-            ctr.additions += 1
-            ctr.multiplications += 1
-        elif c == 2 and ell == 1:
-            view[1] = view[0]
+        _leaf_root(_x2l_leaves, view, table, phi_vec, (c, ell))
         return
-    d = tree.d_of(v)
-    w = 1 << d
-    height = 1 << (nv - d)
-    va, vd = tree.alpha[v], tree.delta[v]
-    mu = list(phi_vec[:d])
-    nu = phi_vec[d:]
-    shifts = table.phi_alpha[v]
-    for phase in x2l_split(d, c, ell):
-        for row, first, count, shift, sc, sl in phase:
-            for i in range(first, first + count):
-                if not row:
-                    x2l(vd, nu, sc, sl, view.sub(i, w, height), table)
-                    continue
-                x2l(va, mu, sc, sl, view.sub(w * i, 1, w), table)
-                if shift:
-                    _advance(mu, shifts, i, ctr)
+    _walk(x2l, _x2l_leaves, v, phi_vec, view, table,
+          x2l_split(tree.d_of(v), c, ell), True)
 
 
 @lru_cache(maxsize=256)
@@ -353,14 +400,18 @@ def _taylor(t, ell, view, expand):
     levels = _taylor_levels(t, ell)
     if view.length != ell:
         raise ValueError(f"view length {view.length}, expected {ell}")
-    ctr = view.buffer.counter
+    data, o, s = view.buffer.data, view.offset, view.stride
+    adds = 0
     for blk, half, l1, l2 in (reversed(levels) if expand else levels):
+        gap = s * (blk - half)
         for i in range(l1 + 1):
-            base = 2 * blk * i
             n = blk if i < l1 else max(l2 - blk, 0)
-            for j in (range(n - 1, -1, -1) if expand else range(n)):
-                view[base + half + j] ^= view[base + blk + j]
-            ctr.additions += n
+            dst = o + s * (2 * blk * i + half)
+            targets = range(dst, dst + s * n, s)
+            for p in (reversed(targets) if expand else targets):
+                data[p] ^= data[p + gap]
+            adds += n
+    view.buffer.counter.additions += adds
 
 
 def taylor_expand(t, ell, view):
@@ -379,16 +430,35 @@ def _scale_blocks(field, view, w, ell, step):
     One multiplication per entry past the first block, and one per power
     of step after the first.
     """
-    ctr = view.buffer.counter
+    data, o, s = view.buffer.data, view.offset, view.stride
+    mul = field.mul
+    muls = 0
     acc = step
     for base in range(w, ell, w):
         if base > w:
-            acc = field.mul(acc, step)
-            ctr.multiplications += 1
-        end = min(base + w, ell)
-        for j in range(base, end):
-            view[j] = field.mul(acc, view[j])
-        ctr.multiplications += end - base
+            acc = mul(acc, step)
+            muls += 1
+        block = slice(o + s * base, o + s * min(base + w, ell), s)
+        data[block] = [mul(acc, x) for x in data[block]]
+        muls += min(w, ell - base)
+    view.buffer.counter.multiplications += muls
+
+
+def _xm_children(fn, v, view, table, phases):
+    """Child calls of x2m or m2x at internal vertex v, except those of
+    length 2 or less, which do nothing."""
+    tree = table.tree
+    w = 1 << tree.d_of(v)
+    va, vd = tree.alpha[v], tree.delta[v]
+    for phase in phases:
+        for row, first, count, _, (sub,) in phase:
+            if sub <= 2:
+                continue
+            for i in range(first, first + count):
+                if row:
+                    fn(va, sub, view.sub(w * i, 1, sub), table)
+                else:
+                    fn(vd, sub, view.sub(i, w, sub), table)
 
 
 def x2m(v, ell, view, table):
@@ -399,14 +469,7 @@ def x2m(v, ell, view, table):
         return
     d = tree.d_of(v)
     w = 1 << d
-    va, vd = tree.alpha[v], tree.delta[v]
-    for phase in graded_split(d, ell):
-        for row, first, count, _, sub in phase:
-            for i in range(first, first + count):
-                if not row:
-                    x2m(vd, sub, view.sub(i, w, sub), table)
-                    continue
-                x2m(va, sub, view.sub(w * i, 1, sub), table)
+    _xm_children(x2m, v, view, table, graded_split(d, ell))
     if ell > w and table.delta_head(v) != 1:
         _scale_blocks(table.field, view, w, ell, table.delta_head_inv(v))
     _taylor(w, ell, view, False)
@@ -420,17 +483,10 @@ def m2x(v, ell, view, table):
         return
     d = tree.d_of(v)
     w = 1 << d
-    va, vd = tree.alpha[v], tree.delta[v]
     _taylor(w, ell, view, True)
     if ell > w and table.delta_head(v) != 1:
         _scale_blocks(table.field, view, w, ell, table.delta_head(v))
-    for phase in reversed(graded_split(d, ell)):
-        for row, first, count, _, sub in phase:
-            for i in range(first, first + count):
-                if not row:
-                    m2x(vd, sub, view.sub(i, w, sub), table)
-                    continue
-                m2x(va, sub, view.sub(w * i, 1, sub), table)
+    _xm_children(m2x, v, view, table, reversed(graded_split(d, ell)))
 
 
 def scale_by_powers(field, view, w):
@@ -444,14 +500,14 @@ def scale_by_powers(field, view, w):
     ell = len(view)
     if w == 1 or ell < 2:
         return
-    ctr = view.buffer.counter
-    view[1] = field.mul(w, view[1])
-    ctr.twist_multiplications += 1
+    data, o, s = view.buffer.data, view.offset, view.stride
+    mul = field.mul
+    data[o + s] = mul(w, data[o + s])
     acc = w
-    for i in range(2, ell):
-        acc = field.mul(acc, w)
-        view[i] = field.mul(acc, view[i])
-        ctr.twist_multiplications += 2
+    for p in range(o + 2 * s, o + s * ell, s):
+        acc = mul(acc, w)
+        data[p] = mul(acc, data[p])
+    view.buffer.counter.twist_multiplications += 1 + 2 * (ell - 2)
 
 
 def _check_convert(kind_from, kind_to, tree, ell):
@@ -466,16 +522,18 @@ def _check_convert(kind_from, kind_to, tree, ell):
 def run_transform(name, v, phi_vec, c, ell, b, data, table):
     """Run one raw transform at vertex v on data; returns (output, OpCounter).
 
-    l2x and x2l work in a zero-padded scratch of 2^n_v entries and return
-    its first max(c, ell); the others ignore c and b, and x2m and m2x also
-    phi_vec.
+    l2x and x2l work in a zero-padded scratch of 2^n_v entries.  l2x returns
+    its first max(c + b, ell), which include the value f_c when b is 1, and
+    x2l its first max(c, ell).  x2l ignores b, the others c and b, and x2m
+    and m2x also phi_vec.
     """
-    if name in ("l2x", "x2l"):
+    if name == "l2x":
         buf = CoeffBuffer(list(data) + [0] * ((1 << table.tree.n_of(v)) - ell))
-        if name == "l2x":
-            l2x(v, phi_vec, c, ell, b, buf.view(), table)
-        else:
-            x2l(v, phi_vec, c, ell, buf.view(), table)
+        l2x(v, phi_vec, c, ell, b, buf.view(), table)
+        return buf.data[:max(c + b, ell)], buf.counter
+    if name == "x2l":
+        buf = CoeffBuffer(list(data) + [0] * ((1 << table.tree.n_of(v)) - ell))
+        x2l(v, phi_vec, c, ell, buf.view(), table)
         return buf.data[:max(c, ell)], buf.counter
     buf = CoeffBuffer(data)
     if name in ("x2m", "m2x"):
@@ -586,7 +644,7 @@ class CountModel:
                 for group in phase:
                     count = group[2]
                     if count:
-                        ca, cm = self._count(family, va if group[0] else vd, group[4:])
+                        ca, cm = self._count(family, va if group[0] else vd, group[4])
                         a += count * (ca + d * (group[3] and shifted))
                         m += count * cm
             if family == "x2m":

@@ -262,3 +262,24 @@ def test_error_paths_single_line(capsys):
 
     code, _, err = run(capsys)
     assert code == 1 and err.startswith("ERROR: ")
+
+
+def test_block_size_below_one_is_one_error_line(capsys):
+    for argv in (
+        ("counts", "--field", "16", "--n", "4", "--basis", "gencantor:0"),
+        ("counts", "--field", "16", "--n", "4", "--tree", "graft:0"),
+        ("construct", "--field", "16", "--n", "4", "--basis", "gencantor:-1"),
+        ("trees", "--strategy", "graft:-2", "--field", "16", "--n", "4"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("ERROR: ") and err.count("\n") == 1, argv
+        assert "block size" in err, argv
+
+
+def test_deeply_nested_explicit_tree_is_one_error_line(capsys):
+    code, out, err = run(capsys, "counts", "--field", "16", "--n", "4",
+                         "--tree", "explicit:" + "(" * 3000)
+    assert code == 1 and out == ""
+    assert err.startswith("ERROR: ") and err.count("\n") == 1
+    assert "nested deeper" in err

@@ -132,6 +132,16 @@ def test_serialization_round_trip():
             ReductionTree.parse(bad)
 
 
+def test_parse_caps_nesting_depth():
+    # A 32-leaf comb is the deepest tree any field can use: 31 levels.
+    comb = build_trivial(32)
+    assert ReductionTree.parse(comb.serialize()) == comb
+    deeper = "(*," * 33 + "*" + ")" * 33
+    for text in (deeper, "(" * 3000):
+        with pytest.raises(ValueError, match="nested deeper"):
+            ReductionTree.parse(text)
+
+
 def test_validate_single_leaf_and_size_mismatch():
     f = get_field(8)
     tree = build_trivial(1)

@@ -33,7 +33,10 @@ from binbasis.transforms import (
     BASIS_KINDS,
     CoeffBuffer,
     CountModel,
+    _graded_leaves,
+    _walk,
     convert,
+    graded_split,
     l2x,
     m2x,
     n2x,
@@ -596,3 +599,53 @@ def test_transform_argument_errors():
         model.convert("lch", "fourier", 4)
     with pytest.raises(ValueError):
         model.convert("lch", "newton", 9)
+
+
+@pytest.mark.parametrize("name", ["n2x", "x2n", "l2x", "x2l", "x2m", "m2x"])
+@pytest.mark.parametrize("n", [1, 3])
+def test_executor_rejects_bad_views_and_parameters(name, n):
+    # n = 1: the root is a leaf and runs its leaf kernel directly.
+    beta = construct_cantor(GF8, n)
+    table = build_tables(GF8, build_cantor_tree(n), beta)
+    size = 1 << n
+    phi = [1] * n
+    full = name in ("l2x", "x2l")
+
+    def run(c, ell, b, length):
+        view = CoeffBuffer([0] * length).view()
+        if name in ("n2x", "x2n"):
+            (n2x if name == "n2x" else x2n)(0, phi, ell, view, table)
+        elif name in ("x2m", "m2x"):
+            (x2m if name == "x2m" else m2x)(0, ell, view, table)
+        elif name == "l2x":
+            l2x(0, phi, c, ell, b, view, table)
+        else:
+            x2l(0, phi, c, ell, view, table)
+
+    run(size, size, 0, size)
+    with pytest.raises(ValueError, match="view length"):
+        run(size, size, 0, size - 1)
+    for ell in (0, size + 1):
+        c = {"l2x": min(ell, size), "x2l": 1}.get(name, 0)
+        b = 1 if name == "l2x" and c == 0 else 0
+        with pytest.raises(ValueError, match=f"ell {ell} out of range"):
+            run(c, ell, b, size if full else max(ell, 1))
+    if name == "l2x":
+        for c, b in ((size + 1, 0), (size, 1), (size, 2)):
+            with pytest.raises(ValueError, match=f"{'c' if b == 0 else 'b'} .* out of range"):
+                run(c, size, b, size)
+    if name == "x2l":
+        for c in (0, size + 1):
+            with pytest.raises(ValueError, match=f"c {c} out of range"):
+                run(c, size, 0, size)
+
+
+def test_leaf_group_range_check():
+    # A split for a longer ell than the view holds must fail at its first
+    # leaf group that would leave the view, not write past it.
+    table = build_tables(GF8, build_cantor_tree(2), construct_cantor(GF8, 2))
+    rows, columns = graded_split(1, 4)
+    for phase in (rows, columns):
+        buf = CoeffBuffer([0] * 3)
+        with pytest.raises(ValueError, match="leaf group"):
+            _walk(n2x, _graded_leaves, 0, [1, 1], buf.view(), table, (phase,), False)
