@@ -2,9 +2,11 @@
 
 Field elements are plain ints: bit i of an element is the coefficient of
 x^i in its polynomial representative modulo the field's irreducible
-modulus. Addition is XOR; multiplication is carry-less multiplication
-followed by modular reduction, served from exp/log tables once the field
-is small enough to afford them.
+modulus. Addition is XOR. Fields of degree m <= 16 multiply, invert and
+raise to powers through exp/log tables. Larger fields multiply with a
+windowed carry-less kernel (4-bit windows, as in the comb method of
+Lopez and Dahab) followed by a byte-at-a-time table reduction, and invert
+with the extended Euclidean algorithm over GF(2)[x].
 """
 
 from __future__ import annotations
@@ -68,6 +70,79 @@ def canonical_modulus(degree: int) -> int:
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
+def _mul_kernel(degree: int, modulus: int):
+    """Multiplication in GF(2)[x] / (modulus) for operands below 2^degree."""
+    # reduce[u] is the multiple q * modulus, deg q < 8, whose bits
+    # degree..degree+7 read u.  It is indexed by that byte, not by q: the
+    # low part of a dense modulus reaches the byte being cleared.  q -> u
+    # is a bijection, so every byte value has its entry.
+    reduce = [0] * 256
+    for q in range(256):
+        p = _poly_mul_gf2(q, modulus)
+        reduce[(p >> degree) & 0xFF] = p
+    m0, m8, m16, m24 = degree, degree + 8, degree + 16, degree + 24
+
+    def mul(a: int, b: int) -> int:
+        if a < b:
+            a, b = b, a
+        if b < 16:
+            # Small operands are common (unit heads, small basis elements,
+            # the table build's generator): a short bit loop is cheaper than
+            # the window table, and r < 2^(m+4) needs one reduction step.
+            r = 0
+            while b:
+                if b & 1:
+                    r ^= a
+                a <<= 1
+                b >>= 1
+            if r >> m0:
+                r ^= reduce[r >> m0]
+            return r
+        a2 = a << 1
+        a3 = a2 ^ a
+        a4 = a << 2
+        a5 = a4 ^ a
+        a6 = a4 ^ a2
+        a7 = a4 ^ a3
+        a8 = a << 3
+        window = (0, a, a2, a3, a4, a5, a6, a7,
+                  a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a8 ^ a4, a8 ^ a5, a8 ^ a6, a8 ^ a7)
+        r = window[b & 15]
+        b >>= 4
+        s = 4
+        while b:
+            r ^= window[b & 15] << s
+            b >>= 4
+            s += 4
+        if r >> m0:
+            # r < 2^(2m-1) <= 2^63: four byte steps clear its bits above
+            # degree m - 1, top byte first.
+            r ^= reduce[r >> m24] << 24
+            r ^= reduce[(r >> m16) & 0xFF] << 16
+            r ^= reduce[(r >> m8) & 0xFF] << 8
+            r ^= reduce[(r >> m0) & 0xFF]
+        return r
+
+    return mul
+
+
+def _inv_euclid(a: int, modulus: int) -> int:
+    """Inverse of a modulo an irreducible modulus, 0 < a < 2^deg(modulus).
+
+    Extended Euclidean algorithm in GF(2)[x]; u = g1 * a and v = g2 * a
+    modulo the modulus throughout, and g1, g2 stay below 2^deg(modulus).
+    """
+    u, v = a, modulus
+    g1, g2 = 1, 0
+    while u != 1:
+        j = u.bit_length() - v.bit_length()
+        if j < 0:
+            u, v, g1, g2, j = v, u, g2, g1, -j
+        u ^= v << j
+        g1 ^= g2 << j
+    return g1
+
+
 def _factorize(n: int) -> list[int]:
     """Distinct prime factors of n by trial division."""
     primes = []
@@ -102,11 +177,14 @@ class Field:
         self.degree = degree
         self.modulus = modulus
         self.order = 1 << degree
+        self._mul_raw = _mul_kernel(degree, modulus)
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._primitive: int | None = None
         if degree <= _TABLE_MAX_DEGREE:
             self._build_tables()
+        else:
+            self.mul = self._mul_raw
 
     # -- construction helpers ------------------------------------------------
 
@@ -150,23 +228,25 @@ class Field:
         """Field addition: XOR of representatives. Self-inverse."""
         return a ^ b
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        return _poly_mod_gf2(_poly_mul_gf2(a, b), self.modulus)
-
     def mul(self, a: int, b: int) -> int:
-        if self._exp is not None:
-            if a == 0 or b == 0:
-                return 0
-            return self._exp[self._log[a] + self._log[b]]
-        return self._mul_raw(a, b)
+        """Product by exp/log lookup.
+
+        Fields without log tables (m > 16) bind their multiply kernel over
+        this method in `__init__`, so a product costs one call.
+        """
+        if a == 0 or b == 0:
+            return 0
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse, a^(2^m - 2) for nonzero a."""
+        """Multiplicative inverse of a nonzero field element."""
         if a == 0:
             raise ZeroDivisionError("zero has no inverse")
+        if not 0 < a < self.order:
+            raise ValueError(f"{a!r} is not an element of GF(2^{self.degree})")
         if self._exp is not None:
             return self._exp[self.order - 1 - self._log[a]]
-        return self.pow(a, self.order - 2)
+        return _inv_euclid(a, self.modulus)
 
     def pow(self, a: int, e: int) -> int:
         """a^e by square-and-multiply; e >= 0."""
@@ -176,13 +256,7 @@ class Field:
             return 0 if e else 1
         if self._exp is not None:
             return self._exp[self._log[a] * e % (self.order - 1)]
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_raw(r, a)
-            a = self._mul_raw(a, a)
-            e >>= 1
-        return r
+        return self._pow_raw(a, e)
 
     def pow2k(self, a: int, d: int) -> int:
         """Frobenius power a^(2^d) by d squarings; GF(2)-linear in a."""
@@ -235,11 +309,12 @@ class Field:
         raise AssertionError("no primitive element found")  # unreachable
 
     def _pow_raw(self, a: int, e: int) -> int:
+        mul = self._mul_raw
         r = 1
         while e:
             if e & 1:
-                r = self._mul_raw(r, a)
-            a = self._mul_raw(a, a)
+                r = mul(r, a)
+            a = mul(a, a)
             e >>= 1
         return r
 
@@ -254,6 +329,7 @@ class Field:
 
     def _build_tables(self) -> None:
         g = self.primitive_element()
+        mul = self._mul_raw
         n = self.order - 1
         exp = [0] * (2 * n)
         log = [0] * self.order
@@ -262,7 +338,7 @@ class Field:
             exp[i] = t
             exp[i + n] = t
             log[t] = i
-            t = self._mul_raw(t, g)
+            t = mul(t, g)
         self._exp = exp
         self._log = log
 

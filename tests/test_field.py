@@ -4,12 +4,40 @@ import pytest
 
 from binbasis.field import (
     Field,
+    _poly_mod_gf2,
+    _poly_mul_gf2,
     canonical_modulus,
     element_from_hex,
     element_to_hex,
     get_field,
     is_irreducible,
 )
+
+
+def reference_mul(a, b, modulus):
+    """Bit-serial carry-less product and remainder: the independent reference."""
+    return _poly_mod_gf2(_poly_mul_gf2(a, b), modulus)
+
+
+def moduli_under_test(degree):
+    """Every irreducible modulus of degree <= 4.  Above, the canonical and
+    the largest one, one from a seeded search, and at m = 32 the dense
+    0x187c56473."""
+    if degree <= 4:
+        return [c for c in range(1 << degree, 2 << degree) if is_irreducible(c, degree)]
+    out = {canonical_modulus(degree)}
+    top = (2 << degree) - 1
+    while not is_irreducible(top, degree):
+        top -= 1
+    out.add(top)
+    rng = random.Random(degree)
+    while len(out) < 3:
+        candidate = rng.randrange(1 << degree, 2 << degree)
+        if is_irreducible(candidate, degree):
+            out.add(candidate)
+    if degree == 32:
+        out.add(0x187C56473)
+    return sorted(out)
 
 
 def test_canonical_modulus_gf256_is_0x11b():
@@ -71,14 +99,44 @@ def test_inv_of_zero_raises():
     assert f.inv(1) == 1
 
 
+def test_inv_rejects_non_elements():
+    for f in (get_field(8), get_field(16), get_field(32)):
+        with pytest.raises(ZeroDivisionError):
+            f.inv(0)
+        for a in (-1, -f.order, f.order, f.order + 1, f.modulus, f.modulus << 3):
+            with pytest.raises(ValueError):
+                f.inv(a)
+
+
 def test_mul_matches_raw_path():
-    # Table-driven multiplication agrees with carry-less mul + reduce.
+    # Table-driven multiplication agrees with the bit-serial reference.
     f = get_field(12)
     rng = random.Random(2)
     for _ in range(200):
         a = rng.randrange(f.order)
         b = rng.randrange(f.order)
-        assert f.mul(a, b) == f._mul_raw(a, b)
+        assert f.mul(a, b) == reference_mul(a, b, f.modulus)
+
+
+@pytest.mark.parametrize("degree", range(1, 33))
+def test_mul_kernel_and_inv_match_reference(degree):
+    # The windowed kernel builds the log tables for m <= 16 and serves every
+    # product above; inv is the table lookup or the Euclidean loop.
+    rng = random.Random(degree)
+    top = (1 << degree) - 1
+    small = [s for s in (1, 2, 3, 7, 15, 16, 17, 255) if s <= top]
+    for modulus in moduli_under_test(degree):
+        f = Field(degree, modulus)
+        pairs = [(rng.randrange(f.order), rng.randrange(f.order)) for _ in range(100)]
+        pairs += [(a, b) for a in (0, 1, top) for b in (0, 1, top)]
+        pairs += [(s, rng.randrange(f.order)) for s in small]
+        pairs += [(b, a) for a, b in pairs]
+        for a, b in pairs:
+            expect = reference_mul(a, b, modulus)
+            assert f._mul_raw(a, b) == expect, (hex(modulus), a, b)
+            assert f.mul(a, b) == expect, (hex(modulus), a, b)
+        for a in {a for a, _ in pairs} - {0}:
+            assert reference_mul(a, f.inv(a), modulus) == 1, (hex(modulus), a)
 
 
 def test_field_axioms_exhaustive_gf16():
