@@ -5,9 +5,12 @@ Lagrange (values at the first ell points of lam + span(beta)), and the graded
 basis X_i built from products of the Newton polynomials at power-of-two
 indices.  Each conversion walks the reduction tree, viewing the coefficient
 vector as a 2^(n_v - d_v) x 2^d_v matrix at vertex v and recursing on full
-rows and strided columns.  Every field addition and multiplication performed
-on buffer data, or on the shift vector mu, increments the buffer's counter;
-everything precomputed is excluded.
+rows and strided columns.  The public executors take a strided view and
+check it; below them the recursion runs breadth-first in batches, one pass
+per split group over every call of a vertex with the same arguments.
+Every field addition and multiplication performed on buffer data, or on
+the shift vector mu, increments the buffer's counter; everything
+precomputed is excluded.
 
 CountModel replays the executors' own splits on lengths alone: all counts
 are data-independent once the table fixes which scaling guards fire, so
@@ -167,51 +170,50 @@ def x2l_split(d, c, ell):
             ((True, 0, c1, True, (w, l2p)), (True, c1, 1, False, (c - w * c1, l2p))))
 
 
-def _advance(mu, shifts, i, ctr):
-    """Shift vector of row i + 1 from that of row i (see ruler_delta)."""
-    k = ((i + 1) & ~i).bit_length() - 1
-    for r in range(len(mu)):
-        mu[r] ^= shifts[r][k]
-    ctr.additions += len(mu)
+# A batch is every call of one vertex with one argument tuple.  Its
+# instances share one stride s and start at the buffer indices offs; for the
+# shifted families phis[r][j] is component r of instance j's shift vector,
+# and it is None for x2m and m2x.  Each group of a split runs once for the
+# whole batch: its child batch holds one instance per row (or column) and
+# parent instance, row outer and instance inner, and a shifted row group
+# charges its d additions per row and instance.
 
 
-# A group of child calls whose child is a leaf runs as one loop over the
-# buffer list, not as one executor call per leaf.  Leaf call i of a group
-# (first <= i < first + count) reads its entries 0 and 1 at buffer indices
-# p and p + gap, where p = lo + step * (i - first); it runs at leaf shift
-# ph, which advances after each call when shifts is given (a row group
-# with shift set, as _advance does at a one-dimensional alpha child).  A
-# kernel returns the shift after the group.  A call whose root is a leaf
-# runs its family's kernel as a group of one, so each leaf case is written
-# once.
+def _row_shifts(shifts, phis, rows):
+    """Alpha shift vectors of rows 0..rows-1 of every instance, component-major
+    and row outer: row i carries the vector advanced i times (see the split)."""
+    out = []
+    for row, sh in zip(phis, shifts):
+        col = list(row)
+        for i in range(rows - 1):
+            a = sh[((i + 1) & ~i).bit_length() - 1]
+            row = [x ^ a for x in row]
+            col += row
+        out.append(col)
+    return out
 
 
-def _graded_leaves(buf, mul, ph, shifts, first, count, lo, step, gap, args):
+# A leaf kernel runs every call of a leaf in a batch: call j reads its
+# entries 0 and 1 at buffer indices offs[j] and offs[j] + gap and runs at
+# leaf shift phs[j].
+
+
+def _graded_leaves(buf, mul, offs, gap, phs, args):
     """Leaf calls of n2x and x2n; args is (ell,)."""
-    data = buf.data
-    two = args[0] == 2
-    i = first
-    for p in range(lo, lo + step * count, step):
-        if two:
+    if args[0] == 2:
+        data = buf.data
+        for p, ph in zip(offs, phs):
             data[p] ^= mul(ph, data[p + gap])
-        if shifts is not None:
-            ph ^= shifts[((i + 1) & ~i).bit_length() - 1]
-            i += 1
-    ctr = buf.counter
-    if two:
-        ctr.additions += count
-        ctr.multiplications += count
-    if shifts is not None:
-        ctr.additions += count
-    return ph
+        ctr = buf.counter
+        ctr.additions += len(offs)
+        ctr.multiplications += len(offs)
 
 
-def _l2x_leaves(buf, mul, ph, shifts, first, count, lo, step, gap, args):
+def _l2x_leaves(buf, mul, offs, gap, phs, args):
     """Leaf calls of l2x; args is (c, ell, b)."""
     c, ell, b = args
     data = buf.data
-    i = first
-    for p in range(lo, lo + step * count, step):
+    for p, ph in zip(offs, phs):
         q = p + gap
         if c == 2:
             data[q] ^= data[p]
@@ -224,24 +226,17 @@ def _l2x_leaves(buf, mul, ph, shifts, first, count, lo, step, gap, args):
             data[p] ^= mul(ph, data[q])
         elif c == b == 1:
             data[q] = data[p]
-        if shifts is not None:
-            ph ^= shifts[((i + 1) & ~i).bit_length() - 1]
-            i += 1
-    ctr = buf.counter
     if ell == 2:
-        ctr.additions += (2 if c == 2 or c == b == 1 else 1) * count
-        ctr.multiplications += count
-    if shifts is not None:
-        ctr.additions += count
-    return ph
+        ctr = buf.counter
+        ctr.additions += (2 if c == 2 or c == b == 1 else 1) * len(offs)
+        ctr.multiplications += len(offs)
 
 
-def _x2l_leaves(buf, mul, ph, shifts, first, count, lo, step, gap, args):
+def _x2l_leaves(buf, mul, offs, gap, phs, args):
     """Leaf calls of x2l; args is (c, ell)."""
     c, ell = args
     data = buf.data
-    i = first
-    for p in range(lo, lo + step * count, step):
+    for p, ph in zip(offs, phs):
         q = p + gap
         if ell == 2:
             data[p] ^= mul(ph, data[q])
@@ -249,92 +244,106 @@ def _x2l_leaves(buf, mul, ph, shifts, first, count, lo, step, gap, args):
                 data[q] ^= data[p]
         elif c == 2:
             data[q] = data[p]
-        if shifts is not None:
-            ph ^= shifts[((i + 1) & ~i).bit_length() - 1]
-            i += 1
-    ctr = buf.counter
     if ell == 2:
-        ctr.additions += (2 if c == 2 else 1) * count
-        ctr.multiplications += count
-    if shifts is not None:
-        ctr.additions += count
-    return ph
+        ctr = buf.counter
+        ctr.additions += (2 if c == 2 else 1) * len(offs)
+        ctr.multiplications += len(offs)
 
 
-def _walk(fn, leaves, v, phi_vec, view, table, phases, full):
-    """Child calls of internal vertex v over the given phases of its split.
+# A family is (split, leaf kernel, whether children see their whole 2^n
+# scratch, whether the phases run in reverse).  x2m and m2x have no leaf
+# kernel: their calls of length 2 or less do nothing.
+_N2X = (graded_split, _graded_leaves, False, False)
+_X2N = (graded_split, _graded_leaves, False, True)
+_L2X = (l2x_split, _l2x_leaves, True, False)
+_X2L = (x2l_split, _x2l_leaves, True, False)
+_X2M = (graded_split, None, False, False)
+_M2X = (graded_split, None, False, True)
 
-    Groups whose child is a leaf run through the family's leaf kernel after
-    one check that their first and last entries lie in view; the others
-    call fn on a strided subview per row or column.  With full set a child
-    sees its whole 2^n scratch (l2x, x2l), else its ell entries.
+
+def _run(fam, v, args, offs, s, phis, buf, table):
+    """Every call of vertex v with args in the batch (offs, s, phis)."""
+    split, leaves, full, inverse = fam
+    tree = table.tree
+    if leaves is None:
+        _xm(fam, v, args[0], offs, s, buf, table)
+    elif tree.alpha[v] < 0:
+        leaves(buf, table.field.mul, offs, s, phis[0], args)
+    else:
+        phases = split(tree.size[tree.alpha[v]], *args)
+        _walk(fam, v, reversed(phases) if inverse else phases,
+              (1 << tree.size[v]) if full else args[0], offs, s, phis, buf, table)
+
+
+def _walk(fam, v, phases, n, offs, s, phis, buf, table):
+    """Child batches of internal vertex v over the given phases of its split.
+
+    Every group is checked against the instances' view length n before the
+    first write.  Children of l2x and x2l see their whole 2^n scratch, the
+    others their ell entries.
     """
     tree = table.tree
-    buf = view.buffer
-    ctr = buf.counter
-    mul = table.field.mul
     va, vd = tree.alpha[v], tree.delta[v]
     d = tree.size[va]
     w = 1 << d
     height = 1 << tree.size[vd]
-    leaf_a, leaf_d = tree.alpha[va] < 0, tree.alpha[vd] < 0
-    mu = list(phi_vec[:d])
-    nu = phi_vec[d:]
-    shifts = table.phi_alpha[v]
-    o, s, n = view.offset, view.stride, view.length
+    leaves, full = fam[1], fam[2]
+    groups = []
+    rows = 0
     for phase in phases:
         for row, first, count, shift, args in phase:
-            if not count:
+            # Calls of x2m and m2x of length 2 or less do nothing.
+            if not count or not (leaves or args[0] > 2):
                 continue
             if row:
-                length = w if full else args[0]
-                if leaf_a:
-                    if first < 0 or w * (first + count - 1) + length > n:
-                        raise ValueError("leaf group exceeds parent view")
-                    mu[0] = leaves(buf, mul, mu[0], shifts[0] if shift else None,
-                                   first, count, o + s * w * first, s * w, s, args)
-                    continue
-                for i in range(first, first + count):
-                    fn(va, mu, *args, view.sub(w * i, 1, length), table)
-                    if shift:
-                        _advance(mu, shifts, i, ctr)
-                continue
-            length = height if full else args[0]
-            if leaf_d:
-                if first < 0 or first + count - 1 + w * (length - 1) >= n:
-                    raise ValueError("leaf group exceeds parent view")
-                leaves(buf, mul, nu[0], None, first, count, o + s * first, s, s * w, args)
-                continue
-            for i in range(first, first + count):
-                fn(vd, nu, *args, view.sub(i, w, length), table)
+                rows = max(rows, first + count)
+                last = w * (first + count - 1) + (w if full else args[0])
+            else:
+                last = first + count + w * ((height if full else args[0]) - 1)
+            if first < 0 or last > n:
+                raise ValueError("child group exceeds parent view")
+            # Neighbouring groups with one argument tuple run as one batch;
+            # shifted counts the rows that charge an advance.
+            shifted = count if shift else 0
+            prev = groups[-1] if groups else None
+            if (prev and prev[0] == row and prev[4] == args
+                    and prev[1] + prev[2] == first):
+                groups[-1] = (row, prev[1], prev[2] + count, prev[3] + shifted, args)
+            else:
+                groups.append((row, first, count, shifted, args))
+    if phis is not None and rows:
+        row_phis = _row_shifts(table.phi_alpha[v], phis, rows)
+    span = len(offs)
+    for row, first, count, shifted, args in groups:
+        if row:
+            child, step, cs = va, s * w, s
+            cphis = None
+            if phis is not None:
+                cphis = [c[span * first:span * (first + count)] for c in row_phis]
+                buf.counter.additions += d * shifted * span
+        else:
+            child, step, cs = vd, s, s * w
+            cphis = None if phis is None else [nu * count for nu in phis[d:]]
+        starts = range(step * first, step * (first + count), step)
+        coffs = [o + k for k in starts for o in offs]
+        _run(fam, child, args, coffs, cs, cphis, buf, table)
 
 
-def _leaf_root(leaves, view, table, phi_vec, args):
-    """A call whose root is a leaf: its family's kernel as a group of one."""
-    leaves(view.buffer, table.field.mul, phi_vec[0], None, 0, 1,
-           view.offset, view.stride, view.stride, args)
-
-
-def _graded(fn, v, phi_vec, ell, view, table, inverse):
-    """Shared body of n2x and x2n; the inverse walks the phases in reverse."""
-    tree = table.tree
-    _check_args(tree, v, phi_vec, ell, view.length, False)
-    if tree.is_leaf(v):
-        _leaf_root(_graded_leaves, view, table, phi_vec, (ell,))
-        return
-    split = graded_split(tree.d_of(v), ell)
-    _walk(fn, _graded_leaves, v, phi_vec, view, table,
-          reversed(split) if inverse else split, False)
+def _start(fam, v, args, ell, phi_vec, view, table):
+    """Check one call on a view, then run it as a batch of one."""
+    _check_args(table.tree, v, phi_vec, ell, view.length, fam[2])
+    phis = None if phi_vec is None else list(zip(phi_vec))
+    _run(fam, v, args, [view.offset], view.stride, phis, view.buffer, table)
 
 
 def n2x(v, phi_vec, ell, view, table):
     """Rewrite shifted-Newton coefficients as graded coefficients, in place."""
-    _graded(n2x, v, phi_vec, ell, view, table, False)
+    _start(_N2X, v, (ell,), ell, phi_vec, view, table)
 
 
 def x2n(v, phi_vec, ell, view, table):
     """Inverse of n2x: columns first, then rows in the same shift order."""
-    _graded(x2n, v, phi_vec, ell, view, table, True)
+    _start(_X2N, v, (ell,), ell, phi_vec, view, table)
 
 
 def l2x(v, phi_vec, c, ell, b, view, table):
@@ -344,18 +353,12 @@ def l2x(v, phi_vec, c, ell, b, view, table):
     entries c..ell-1 hold coefficients h_i.  Afterwards entries 0..c-1 hold
     h_i, and entry c holds the value f_c when b is 1.
     """
-    tree = table.tree
-    nv = tree.n_of(v)
+    nv = table.tree.n_of(v)
     if not 0 <= c <= ell:
         raise ValueError(f"c {c} out of range for ell {ell}")
     if b not in (0, 1) or not 1 <= b + c <= (1 << nv):
         raise ValueError(f"b {b} out of range for c {c}")
-    _check_args(tree, v, phi_vec, ell, view.length, True)
-    if tree.is_leaf(v):
-        _leaf_root(_l2x_leaves, view, table, phi_vec, (c, ell, b))
-        return
-    _walk(l2x, _l2x_leaves, v, phi_vec, view, table,
-          l2x_split(tree.d_of(v), c, ell, b), True)
+    _start(_L2X, v, (c, ell, b), ell, phi_vec, view, table)
 
 
 def x2l(v, phi_vec, c, ell, view, table):
@@ -364,16 +367,10 @@ def x2l(v, phi_vec, c, ell, view, table):
     The view spans the full 2^n_v scratch; entries 0..ell-1 hold h_i, and
     afterwards entries 0..c-1 hold the values f_i.  c may exceed ell.
     """
-    tree = table.tree
-    nv = tree.n_of(v)
+    nv = table.tree.n_of(v)
     if not 1 <= c <= (1 << nv):
         raise ValueError(f"c {c} out of range at a {nv}-dim vertex")
-    _check_args(tree, v, phi_vec, ell, view.length, True)
-    if tree.is_leaf(v):
-        _leaf_root(_x2l_leaves, view, table, phi_vec, (c, ell))
-        return
-    _walk(x2l, _x2l_leaves, v, phi_vec, view, table,
-          x2l_split(tree.d_of(v), c, ell), True)
+    _start(_X2L, v, (c, ell), ell, phi_vec, view, table)
 
 
 @lru_cache(maxsize=256)
@@ -389,8 +386,8 @@ def _taylor_levels(t, ell):
     return tuple(levels)
 
 
-def _taylor(t, ell, view, expand):
-    """Shared body of taylor_expand and taylor_inverse.
+def _taylor(t, ell, buf, offs, s, expand):
+    """Shared body of taylor_expand and taylor_inverse, on each instance.
 
     Expanding runs both loop directions high to low: within a block the
     target range overlaps the source range shifted by half a block, and the
@@ -398,95 +395,96 @@ def _taylor(t, ell, view, expand):
     inverse makes the same updates with both loop orders reversed.
     """
     levels = _taylor_levels(t, ell)
-    if view.length != ell:
-        raise ValueError(f"view length {view.length}, expected {ell}")
-    data, o, s = view.buffer.data, view.offset, view.stride
+    data = buf.data
     adds = 0
     for blk, half, l1, l2 in (reversed(levels) if expand else levels):
         gap = s * (blk - half)
         for i in range(l1 + 1):
             n = blk if i < l1 else max(l2 - blk, 0)
-            dst = o + s * (2 * blk * i + half)
-            targets = range(dst, dst + s * n, s)
-            for p in (reversed(targets) if expand else targets):
-                data[p] ^= data[p + gap]
+            dst = s * (2 * blk * i + half)
+            if n >= len(offs):
+                for o in offs:
+                    targets = range(o + dst, o + dst + s * n, s)
+                    for p in (reversed(targets) if expand else targets):
+                        data[p] ^= data[p + gap]
+            else:
+                # Rows shorter than the batch: one pass over every instance.
+                targets = range(dst, dst + s * n, s)
+                for p in [o + r for r in (reversed(targets) if expand else targets)
+                          for o in offs]:
+                    data[p] ^= data[p + gap]
             adds += n
-    view.buffer.counter.additions += adds
+    buf.counter.additions += adds * len(offs)
+
+
+def _taylor_view(t, ell, view, expand):
+    """_taylor on one view of length ell."""
+    if view.length != ell:
+        raise ValueError(f"view length {view.length}, expected {ell}")
+    _taylor(t, ell, view.buffer, [view.offset], view.stride, expand)
 
 
 def taylor_expand(t, ell, view):
     """Coefficients of the expansion at x^t - x, in place."""
-    _taylor(t, ell, view, True)
+    _taylor_view(t, ell, view, True)
 
 
 def taylor_inverse(t, ell, view):
     """Inverse of taylor_expand, in place."""
-    _taylor(t, ell, view, False)
+    _taylor_view(t, ell, view, False)
 
 
-def _scale_blocks(field, view, w, ell, step):
+def _scale_blocks(field, buf, offs, s, w, ell, step):
     """Multiply block i (entries w*i..w*i+w-1) by step^i for each i >= 1.
 
     One multiplication per entry past the first block, and one per power
-    of step after the first.
+    of step after the first.  Each instance computes its own powers, as a
+    call of its own would.
     """
-    data, o, s = view.buffer.data, view.offset, view.stride
+    data = buf.data
     mul = field.mul
     muls = 0
-    acc = step
-    for base in range(w, ell, w):
-        if base > w:
-            acc = mul(acc, step)
-            muls += 1
-        block = slice(o + s * base, o + s * min(base + w, ell), s)
-        data[block] = [mul(acc, x) for x in data[block]]
-        muls += min(w, ell - base)
-    view.buffer.counter.multiplications += muls
+    for o in offs:
+        acc = step
+        for base in range(w, ell, w):
+            if base > w:
+                acc = mul(acc, step)
+                muls += 1
+            block = slice(o + s * base, o + s * min(base + w, ell), s)
+            data[block] = [mul(acc, x) for x in data[block]]
+            muls += min(w, ell - base)
+    buf.counter.multiplications += muls
 
 
-def _xm_children(fn, v, view, table, phases):
-    """Child calls of x2m or m2x at internal vertex v, except those of
-    length 2 or less, which do nothing."""
-    tree = table.tree
-    w = 1 << tree.d_of(v)
-    va, vd = tree.alpha[v], tree.delta[v]
-    for phase in phases:
-        for row, first, count, _, (sub,) in phase:
-            if sub <= 2:
-                continue
-            for i in range(first, first + count):
-                if row:
-                    fn(va, sub, view.sub(w * i, 1, sub), table)
-                else:
-                    fn(vd, sub, view.sub(i, w, sub), table)
+def _xm(fam, v, ell, offs, s, buf, table):
+    """x2m or m2x on a batch; child groups of length 2 or less do nothing."""
+    if ell <= 2:
+        return
+    d = table.tree.d_of(v)
+    w = 1 << d
+    inverse = fam[3]
+    phases = graded_split(d, ell)
+    step = (table.delta_head if inverse else table.delta_head_inv)(v)
+    scale = ell > w and step != 1
+    if inverse:
+        _taylor(w, ell, buf, offs, s, True)
+        if scale:
+            _scale_blocks(table.field, buf, offs, s, w, ell, step)
+    _walk(fam, v, reversed(phases) if inverse else phases, ell, offs, s, None, buf, table)
+    if not inverse:
+        if scale:
+            _scale_blocks(table.field, buf, offs, s, w, ell, step)
+        _taylor(w, ell, buf, offs, s, False)
 
 
 def x2m(v, ell, view, table):
     """Twisted graded coefficients to monomial coefficients, in place."""
-    tree = table.tree
-    _check_args(tree, v, None, ell, view.length, False)
-    if ell <= 2:
-        return
-    d = tree.d_of(v)
-    w = 1 << d
-    _xm_children(x2m, v, view, table, graded_split(d, ell))
-    if ell > w and table.delta_head(v) != 1:
-        _scale_blocks(table.field, view, w, ell, table.delta_head_inv(v))
-    _taylor(w, ell, view, False)
+    _start(_X2M, v, (ell,), ell, None, view, table)
 
 
 def m2x(v, ell, view, table):
     """Inverse of x2m: expand, scale blocks up, then columns and rows."""
-    tree = table.tree
-    _check_args(tree, v, None, ell, view.length, False)
-    if ell <= 2:
-        return
-    d = tree.d_of(v)
-    w = 1 << d
-    _taylor(w, ell, view, True)
-    if ell > w and table.delta_head(v) != 1:
-        _scale_blocks(table.field, view, w, ell, table.delta_head(v))
-    _xm_children(m2x, v, view, table, reversed(graded_split(d, ell)))
+    _start(_M2X, v, (ell,), ell, None, view, table)
 
 
 def scale_by_powers(field, view, w):

@@ -223,10 +223,13 @@ def test_primitive_element_has_full_order():
         n = f.order - 1
         seen = 1
         t = g
-        while t != 1:
+        # Bounded, so a wrong multiply whose powers never reach 1 fails here.
+        for _ in range(f.order):
+            if t == 1:
+                break
             t = f.mul(t, g)
             seen += 1
-        assert seen == max(n, 1)
+        assert t == 1 and seen == max(n, 1)
 
 
 def test_trace_of_one_in_quadratic_extension_is_zero():

@@ -33,7 +33,8 @@ from binbasis.transforms import (
     BASIS_KINDS,
     CoeffBuffer,
     CountModel,
-    _graded_leaves,
+    _N2X,
+    _X2M,
     _walk,
     convert,
     graded_split,
@@ -601,6 +602,30 @@ def test_transform_argument_errors():
         model.convert("lch", "newton", 9)
 
 
+@pytest.mark.parametrize("field, make_basis, make_tree", [
+    (GF16, lambda: construct_cantor(GF16, 8), lambda: build_cantor_tree(8)),
+    (get_field(32), lambda: random_basis(get_field(32), 8, random.Random(1)),
+     lambda: build_trivial(8)),
+], ids=["gf16-cantor-cantor", "gf32-random-comb"])
+def test_all_pairs_match_oracle_at_n8(field, make_basis, make_tree):
+    # At n = 8 a vertex's batch holds up to 128 calls, far more than the
+    # property tests reach at n <= 5.
+    beta = make_basis()
+    table = build_tables(field, make_tree(), beta)
+    model = CountModel(table)
+    rng = random.Random(8)
+    for ell in (256, 203):
+        lam = rng.randrange(1, field.order)
+        coeffs = rand_elems(rng, field, ell)
+        for a in BASIS_KINDS:
+            for b in BASIS_KINDS:
+                if a == b:
+                    continue
+                out, ctr = convert(field, a, b, beta, table.tree, lam, ell, coeffs, table)
+                assert out == oracle_convert(field, a, b, beta, lam, ell, coeffs), (a, b, ell)
+                assert ctr.totals() == model.convert(a, b, ell), (a, b, ell)
+
+
 @pytest.mark.parametrize("name", ["n2x", "x2n", "l2x", "x2l", "x2m", "m2x"])
 @pytest.mark.parametrize("n", [1, 3])
 def test_executor_rejects_bad_views_and_parameters(name, n):
@@ -641,11 +666,30 @@ def test_executor_rejects_bad_views_and_parameters(name, n):
 
 
 def test_leaf_group_range_check():
-    # A split for a longer ell than the view holds must fail at its first
-    # leaf group that would leave the view, not write past it.
+    # A split for a longer ell than the view holds must fail at the group
+    # that would leave the view, before the first write.
     table = build_tables(GF8, build_cantor_tree(2), construct_cantor(GF8, 2))
     rows, columns = graded_split(1, 4)
     for phase in (rows, columns):
-        buf = CoeffBuffer([0] * 3)
-        with pytest.raises(ValueError, match="leaf group"):
-            _walk(n2x, _graded_leaves, 0, [1, 1], buf.view(), table, (phase,), False)
+        buf = CoeffBuffer([5, 6, 7])
+        with pytest.raises(ValueError, match="group exceeds parent view"):
+            _walk(_N2X, 0, (phase,), 3, [0], 1, [[1], [1]], buf, table)
+        assert buf.data == [5, 6, 7]
+
+
+@pytest.mark.parametrize("family", ["n2x", "x2m"])
+def test_internal_child_group_range_check(family):
+    # At n = 4 both children of the Cantor root are internal; a row group
+    # within the view comes first, so a lazy check would have written.
+    n = 4
+    table = build_tables(GF8, build_cantor_tree(n), construct_cantor(GF8, n))
+    size = 1 << n
+    rows, columns = graded_split(table.tree.d_of(0), size)
+    fam, phis = (_N2X, [[3]] * n) if family == "n2x" else (_X2M, None)
+    rng = random.Random(4)
+    for phase in (rows, columns):
+        data = rand_elems(rng, GF8, size - 1)
+        buf = CoeffBuffer(data)
+        with pytest.raises(ValueError, match="group exceeds parent view"):
+            _walk(fam, 0, (phase,), size - 1, [0], 1, phis, buf, table)
+        assert buf.data == data
