@@ -249,21 +249,9 @@ def emit(lines, out_path):
         sys.stdout.write(text)
 
 
-def _mixed_params(cfg, ell, size):
-    """(c, b) of a transform at ell: the configured ones for l2x/x2l."""
-    if cfg.transform not in ("l2x", "x2l"):
-        return ell, 0
-    c = cfg.c if cfg.c is not None else ell
-    b = cfg.b if cfg.b is not None else 0
-    if cfg.transform == "l2x":
-        if not 0 <= c <= ell:
-            raise CliError(f"l2x requires c <= ell; got c={c} at ell={ell}")
-        if b not in (0, 1) or not 1 <= b + c <= size:
-            raise CliError(f"l2x requires 1 <= b+c <= {size}; got b={b} c={c}")
-    else:
-        if not 1 <= c <= size:
-            raise CliError(f"x2l requires 1 <= c <= {size}; got c={c}")
-    return c, b
+def _mixed_params(cfg, ell):
+    """(c, b) of a transform at ell: the configured ones, by default (ell, 0)."""
+    return (ell if cfg.c is None else cfg.c), (0 if cfg.b is None else cfg.b)
 
 
 def measurer(cfg):
@@ -285,17 +273,14 @@ def measurer(cfg):
             _, ctr = convert(field, kinds[0], kinds[1], table.beta, table.tree,
                              lam, ell, coeffs, table)
             return ctr.totals()
-        c, b = _mixed_params(cfg, ell, 1 << cfg.n)
-        if model is not None:
-            if cfg.transform in ("l2x", "x2l"):
-                pair = model.l2x(0, c, ell, b) if cfg.transform == "l2x" \
-                    else model.x2l(0, c, ell)
-            else:
-                pair = model.nx(0, ell) if cfg.transform in ("n2x", "x2n") \
-                    else model.xm(0, ell)
-            return pair + (0,)
-        data = [rng.randrange(field.order) for _ in range(ell)]
-        return run_transform(cfg.transform, 0, phi, c, ell, b, data, table)[1].totals()
+        c, b = _mixed_params(cfg, ell)
+        try:
+            if model is not None:
+                return model.transform(cfg.transform, 0, c, ell, b)
+            data = [rng.randrange(field.order) for _ in range(ell)]
+            return run_transform(cfg.transform, 0, phi, c, ell, b, data, table)[1].totals()
+        except ValueError as exc:
+            raise CliError(f"{cfg.transform}: {exc}")
 
     return measure
 
@@ -403,11 +388,10 @@ def cmd_bounds(args):
     measure = measurer(cfg)
     add_id = args.bound_add or ADD_BOUNDS[cfg.transform]
     mul_id = args.bound_mul or MUL_BOUNDS[cfg.transform]
-    size = 1 << cfg.n
     worst = None
     for ell in range(cfg.ell_lo, cfg.ell_hi + 1):
         adds, muls, _ = measure(ell)
-        c, b = _mixed_params(cfg, ell, size)
+        c, b = _mixed_params(cfg, ell)
         for column, count, formula_id in (("additions", adds, add_id),
                                           ("multiplications", muls, mul_id)):
             params = {"ell": ell}

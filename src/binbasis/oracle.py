@@ -131,11 +131,8 @@ class BasisOracle:
 
         head = beta[0]
         self.head_powers = [1]
-        self.head_inv_powers = [1]
-        inv_head = field.inv(head)
         for _ in range(size - 1):
             self.head_powers.append(field.mul(self.head_powers[-1], head))
-            self.head_inv_powers.append(field.mul(self.head_inv_powers[-1], inv_head))
 
         self._tables = {
             "newton": newton,
@@ -146,11 +143,6 @@ class BasisOracle:
 
     def _twist(self, p):
         return tuple(self.field.mul(c, self.head_powers[j]) for j, c in enumerate(p))
-
-    def _untwist(self, p):
-        return poly_trim(
-            self.field.mul(c, self.head_inv_powers[j]) for j, c in enumerate(p)
-        )
 
     @property
     def lagrange(self):

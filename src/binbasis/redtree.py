@@ -69,9 +69,6 @@ class ReductionTree:
     def is_leaf(self, v):
         return self.alpha[v] < 0
 
-    def n_of(self, v):
-        return self.size[v]
-
     def d_of(self, v):
         """Prefix-block size at v: leaves under the first child, 0 at leaves."""
         a = self.alpha[v]

@@ -5,21 +5,27 @@ Lagrange (values at the first ell points of lam + span(beta)), and the graded
 basis X_i built from products of the Newton polynomials at power-of-two
 indices.  Each conversion walks the reduction tree, viewing the coefficient
 vector as a 2^(n_v - d_v) x 2^d_v matrix at vertex v and recursing on full
-rows and strided columns.  The public executors take a strided view and
-check it; below them the recursion runs breadth-first in batches, one pass
-per split group over every call of a vertex with the same arguments.
-Every field addition and multiplication performed on buffer data, or on
-the shift vector mu, increments the buffer's counter; everything
-precomputed is excluded.
+rows and strided columns.  The public executors take a view of a buffer's
+first entries and check it; below them the recursion runs breadth-first in
+batches, one pass per split group over every call of a vertex with the same
+arguments.  Every field addition and multiplication performed on buffer
+data, or on the shift vector mu, increments the buffer's counter;
+everything precomputed is excluded.
 
-CountModel replays the executors' own splits on lengths alone: all counts
-are data-independent once the table fixes which scaling guards fire, so
-sweeps over every ell are cheap even where execution would not be.
+Each transform is described once, by a family record: its split, its leaf
+kernel and that kernel's cost, its scratch and phase order, and how
+(c, ell, b) packs into its arguments.  The executors, convert and
+CountModel all read the same records, and convert and CountModel route
+through the same table of legs.  CountModel replays the splits on lengths
+alone and prices leaves by the recorded cost: all counts are
+data-independent once the table fixes which scaling guards fire, so sweeps
+over every ell are cheap even where execution would not be.
 """
 
+from collections import namedtuple
 from functools import lru_cache
 
-from binbasis.precomp import build_tables, initial_phi_vector
+from binbasis.precomp import initial_phi_vector
 
 BASIS_KINDS = ("monomial", "newton", "lagrange", "lch")
 
@@ -55,22 +61,20 @@ class CoeffBuffer:
     def view(self, length=None):
         if length is None:
             length = len(self.data)
-        return StridedView(self, 0, 1, length)
+        return CoeffView(self, length)
 
 
-class StridedView:
-    """Bounds-checked strided window over a CoeffBuffer."""
+class CoeffView:
+    """Bounds-checked window over the first length entries of a CoeffBuffer."""
 
-    __slots__ = ("buffer", "offset", "stride", "length")
+    __slots__ = ("buffer", "length")
 
-    def __init__(self, buffer, offset, stride, length):
-        if offset < 0 or stride < 1 or length < 1:
+    def __init__(self, buffer, length):
+        if length < 1:
             raise ValueError("bad view geometry")
-        if offset + stride * (length - 1) >= len(buffer.data):
+        if length > len(buffer.data):
             raise ValueError("view exceeds buffer")
         self.buffer = buffer
-        self.offset = offset
-        self.stride = stride
         self.length = length
 
     def __len__(self):
@@ -79,21 +83,7 @@ class StridedView:
     def __getitem__(self, i):
         if not 0 <= i < self.length:
             raise IndexError(f"view index {i} out of range")
-        return self.buffer.data[self.offset + self.stride * i]
-
-    def __setitem__(self, i, value):
-        if not 0 <= i < self.length:
-            raise IndexError(f"view index {i} out of range")
-        self.buffer.data[self.offset + self.stride * i] = value
-
-    def sub(self, start, stride_mult, length):
-        """View of every stride_mult-th entry, beginning at index start."""
-        if start < 0 or stride_mult < 1 or length < 1:
-            raise ValueError("bad subview geometry")
-        if start + stride_mult * (length - 1) >= self.length:
-            raise ValueError("subview exceeds parent view")
-        return StridedView(self.buffer, self.offset + self.stride * start,
-                           self.stride * stride_mult, length)
+        return self.buffer.data[i]
 
 
 def ruler_delta(i):
@@ -105,17 +95,6 @@ def ruler_delta(i):
 
 def _clog2(x):
     return (x - 1).bit_length()
-
-
-def _check_args(tree, v, phi_vec, ell, length, full_view):
-    nv = tree.size[v]
-    if not 1 <= ell <= (1 << nv):
-        raise ValueError(f"ell {ell} out of range at a {nv}-dim vertex")
-    want = (1 << nv) if full_view else ell
-    if length != want:
-        raise ValueError(f"view length {length}, expected {want}")
-    if phi_vec is not None and len(phi_vec) != nv:
-        raise ValueError(f"phi vector length {len(phi_vec)}, expected {nv}")
 
 
 # A split lists the child calls at an internal vertex whose alpha child has
@@ -195,7 +174,8 @@ def _row_shifts(shifts, phis, rows):
 
 # A leaf kernel runs every call of a leaf in a batch: call j reads its
 # entries 0 and 1 at buffer indices offs[j] and offs[j] + gap and runs at
-# leaf shift phs[j].
+# leaf shift phs[j].  Its cost function prices one call as (additions,
+# multiplications), and _run charges that once per call.
 
 
 def _graded_leaves(buf, mul, offs, gap, phs, args):
@@ -204,9 +184,10 @@ def _graded_leaves(buf, mul, offs, gap, phs, args):
         data = buf.data
         for p, ph in zip(offs, phs):
             data[p] ^= mul(ph, data[p + gap])
-        ctr = buf.counter
-        ctr.additions += len(offs)
-        ctr.multiplications += len(offs)
+
+
+def _graded_cost(args):
+    return (1, 1) if args[0] == 2 else (0, 0)
 
 
 def _l2x_leaves(buf, mul, offs, gap, phs, args):
@@ -226,10 +207,11 @@ def _l2x_leaves(buf, mul, offs, gap, phs, args):
             data[p] ^= mul(ph, data[q])
         elif c == b == 1:
             data[q] = data[p]
-    if ell == 2:
-        ctr = buf.counter
-        ctr.additions += (2 if c == 2 or c == b == 1 else 1) * len(offs)
-        ctr.multiplications += len(offs)
+
+
+def _l2x_cost(args):
+    c, ell, b = args
+    return (2 if c == 2 or c == b == 1 else 1, 1) if ell == 2 else (0, 0)
 
 
 def _x2l_leaves(buf, mul, offs, gap, phs, args):
@@ -244,35 +226,83 @@ def _x2l_leaves(buf, mul, offs, gap, phs, args):
                 data[q] ^= data[p]
         elif c == 2:
             data[q] = data[p]
-    if ell == 2:
-        ctr = buf.counter
-        ctr.additions += (2 if c == 2 else 1) * len(offs)
-        ctr.multiplications += len(offs)
 
 
-# A family is (split, leaf kernel, whether children see their whole 2^n
-# scratch, whether the phases run in reverse).  x2m and m2x have no leaf
-# kernel: their calls of length 2 or less do nothing.
-_N2X = (graded_split, _graded_leaves, False, False)
-_X2N = (graded_split, _graded_leaves, False, True)
-_L2X = (l2x_split, _l2x_leaves, True, False)
-_X2L = (x2l_split, _x2l_leaves, True, False)
-_X2M = (graded_split, None, False, False)
-_M2X = (graded_split, None, False, True)
+def _x2l_cost(args):
+    c, ell = args
+    return (2 if c == 2 else 1, 1) if ell == 2 else (0, 0)
+
+
+# A pack function checks c and b of one call at an nv-dim vertex and packs
+# them with ell into the family's args; the transform ignores what it drops.
+
+
+def _graded_pack(nv, c, ell, b):
+    return (ell,)
+
+
+def _l2x_pack(nv, c, ell, b):
+    if not 0 <= c <= ell:
+        raise ValueError(f"c {c} out of range for ell {ell}; need 0 <= c <= ell")
+    if b not in (0, 1) or not 1 <= b + c <= (1 << nv):
+        raise ValueError(f"b {b} out of range for c {c}; "
+                         f"need b in (0, 1) and 1 <= b + c <= {1 << nv}")
+    return (c, ell, b)
+
+
+def _x2l_pack(nv, c, ell, b):
+    if not 1 <= c <= (1 << nv):
+        raise ValueError(f"c {c} out of range at a {nv}-dim vertex; "
+                         f"need 1 <= c <= {1 << nv}")
+    return (c, ell)
+
+
+# A family record describes one transform.  key names its counts in
+# CountModel's memo; inverse twins cost the same and share it.  leaves is
+# None for x2m and m2x, whose calls of length 2 or less do nothing.  full
+# says whether children see their whole 2^n scratch, and inverse whether the
+# phases of the split run in reverse.
+_Family = namedtuple("_Family", "key split leaves cost full inverse pack")
+
+_N2X = _Family("n2x", graded_split, _graded_leaves, _graded_cost, False, False, _graded_pack)
+_X2N = _N2X._replace(inverse=True)
+_L2X = _Family("l2x", l2x_split, _l2x_leaves, _l2x_cost, True, False, _l2x_pack)
+_X2L = _Family("x2l", x2l_split, _x2l_leaves, _x2l_cost, True, False, _x2l_pack)
+_X2M = _Family("x2m", graded_split, None, lambda args: (0, 0), False, False, _graded_pack)
+_M2X = _X2M._replace(inverse=True)
+
+_FAMILIES = {"n2x": _N2X, "x2n": _X2N, "l2x": _L2X, "x2l": _X2L, "x2m": _X2M, "m2x": _M2X}
+
+# The legs of each named basis but lch, into the graded basis and out of it,
+# and whether they carry the x -> beta_0 x twist.  convert runs them and
+# CountModel.convert counts them.
+_LEGS = {"newton": (_N2X, _X2N, False), "lagrange": (_L2X, _X2L, False),
+         "monomial": (_M2X, _X2M, True)}
+
+
+def _args(fam, nv, c, ell, b):
+    """Checked args of one call of fam at an nv-dim vertex: the one argument
+    check of the executors, run_transform, convert and CountModel."""
+    if not 1 <= ell <= (1 << nv):
+        raise ValueError(f"ell {ell} out of range at a {nv}-dim vertex")
+    return fam.pack(nv, c, ell, b)
 
 
 def _run(fam, v, args, offs, s, phis, buf, table):
     """Every call of vertex v with args in the batch (offs, s, phis)."""
-    split, leaves, full, inverse = fam
     tree = table.tree
-    if leaves is None:
+    if fam.leaves is None:
         _xm(fam, v, args[0], offs, s, buf, table)
     elif tree.alpha[v] < 0:
-        leaves(buf, table.field.mul, offs, s, phis[0], args)
+        fam.leaves(buf, table.field.mul, offs, s, phis[0], args)
+        adds, muls = fam.cost(args)
+        ctr = buf.counter
+        ctr.additions += adds * len(offs)
+        ctr.multiplications += muls * len(offs)
     else:
-        phases = split(tree.size[tree.alpha[v]], *args)
-        _walk(fam, v, reversed(phases) if inverse else phases,
-              (1 << tree.size[v]) if full else args[0], offs, s, phis, buf, table)
+        phases = fam.split(tree.size[tree.alpha[v]], *args)
+        _walk(fam, v, reversed(phases) if fam.inverse else phases,
+              (1 << tree.size[v]) if fam.full else args[0], offs, s, phis, buf, table)
 
 
 def _walk(fam, v, phases, n, offs, s, phis, buf, table):
@@ -287,7 +317,7 @@ def _walk(fam, v, phases, n, offs, s, phis, buf, table):
     d = tree.size[va]
     w = 1 << d
     height = 1 << tree.size[vd]
-    leaves, full = fam[1], fam[2]
+    leaves, full = fam.leaves, fam.full
     groups = []
     rows = 0
     for phase in phases:
@@ -329,21 +359,33 @@ def _walk(fam, v, phases, n, offs, s, phis, buf, table):
         _run(fam, child, args, coffs, cs, cphis, buf, table)
 
 
-def _start(fam, v, args, ell, phi_vec, view, table):
-    """Check one call on a view, then run it as a batch of one."""
-    _check_args(table.tree, v, phi_vec, ell, view.length, fam[2])
-    phis = None if phi_vec is None else list(zip(phi_vec))
-    _run(fam, v, args, [view.offset], view.stride, phis, view.buffer, table)
+def _start(fam, v, c, ell, b, phi_vec, view, table):
+    """Check one call on a view, run it as a batch of one; returns its args.
+
+    x2m and m2x ignore phi_vec.
+    """
+    nv = table.tree.size[v]
+    args = _args(fam, nv, c, ell, b)
+    want = (1 << nv) if fam.full else ell
+    if view.length != want:
+        raise ValueError(f"view length {view.length}, expected {want}")
+    phis = None
+    if fam.leaves is not None:
+        if len(phi_vec) != nv:
+            raise ValueError(f"phi vector length {len(phi_vec)}, expected {nv}")
+        phis = list(zip(phi_vec))
+    _run(fam, v, args, [0], 1, phis, view.buffer, table)
+    return args
 
 
 def n2x(v, phi_vec, ell, view, table):
     """Rewrite shifted-Newton coefficients as graded coefficients, in place."""
-    _start(_N2X, v, (ell,), ell, phi_vec, view, table)
+    _start(_N2X, v, ell, ell, 0, phi_vec, view, table)
 
 
 def x2n(v, phi_vec, ell, view, table):
     """Inverse of n2x: columns first, then rows in the same shift order."""
-    _start(_X2N, v, (ell,), ell, phi_vec, view, table)
+    _start(_X2N, v, ell, ell, 0, phi_vec, view, table)
 
 
 def l2x(v, phi_vec, c, ell, b, view, table):
@@ -353,12 +395,7 @@ def l2x(v, phi_vec, c, ell, b, view, table):
     entries c..ell-1 hold coefficients h_i.  Afterwards entries 0..c-1 hold
     h_i, and entry c holds the value f_c when b is 1.
     """
-    nv = table.tree.n_of(v)
-    if not 0 <= c <= ell:
-        raise ValueError(f"c {c} out of range for ell {ell}")
-    if b not in (0, 1) or not 1 <= b + c <= (1 << nv):
-        raise ValueError(f"b {b} out of range for c {c}")
-    _start(_L2X, v, (c, ell, b), ell, phi_vec, view, table)
+    _start(_L2X, v, c, ell, b, phi_vec, view, table)
 
 
 def x2l(v, phi_vec, c, ell, view, table):
@@ -367,10 +404,7 @@ def x2l(v, phi_vec, c, ell, view, table):
     The view spans the full 2^n_v scratch; entries 0..ell-1 hold h_i, and
     afterwards entries 0..c-1 hold the values f_i.  c may exceed ell.
     """
-    nv = table.tree.n_of(v)
-    if not 1 <= c <= (1 << nv):
-        raise ValueError(f"c {c} out of range at a {nv}-dim vertex")
-    _start(_X2L, v, (c, ell), ell, phi_vec, view, table)
+    _start(_X2L, v, c, ell, 0, phi_vec, view, table)
 
 
 @lru_cache(maxsize=256)
@@ -421,7 +455,7 @@ def _taylor_view(t, ell, view, expand):
     """_taylor on one view of length ell."""
     if view.length != ell:
         raise ValueError(f"view length {view.length}, expected {ell}")
-    _taylor(t, ell, view.buffer, [view.offset], view.stride, expand)
+    _taylor(t, ell, view.buffer, [0], 1, expand)
 
 
 def taylor_expand(t, ell, view):
@@ -462,7 +496,7 @@ def _xm(fam, v, ell, offs, s, buf, table):
         return
     d = table.tree.d_of(v)
     w = 1 << d
-    inverse = fam[3]
+    inverse = fam.inverse
     phases = graded_split(d, ell)
     step = (table.delta_head if inverse else table.delta_head_inv)(v)
     scale = ell > w and step != 1
@@ -479,12 +513,12 @@ def _xm(fam, v, ell, offs, s, buf, table):
 
 def x2m(v, ell, view, table):
     """Twisted graded coefficients to monomial coefficients, in place."""
-    _start(_X2M, v, (ell,), ell, None, view, table)
+    _start(_X2M, v, ell, ell, 0, None, view, table)
 
 
 def m2x(v, ell, view, table):
     """Inverse of x2m: expand, scale blocks up, then columns and rows."""
-    _start(_M2X, v, (ell,), ell, None, view, table)
+    _start(_M2X, v, ell, ell, 0, None, view, table)
 
 
 def scale_by_powers(field, view, w):
@@ -498,11 +532,11 @@ def scale_by_powers(field, view, w):
     ell = len(view)
     if w == 1 or ell < 2:
         return
-    data, o, s = view.buffer.data, view.offset, view.stride
+    data = view.buffer.data
     mul = field.mul
-    data[o + s] = mul(w, data[o + s])
+    data[1] = mul(w, data[1])
     acc = w
-    for p in range(o + 2 * s, o + s * ell, s):
+    for p in range(2, ell):
         acc = mul(acc, w)
         data[p] = mul(acc, data[p])
     view.buffer.counter.twist_multiplications += 1 + 2 * (ell - 2)
@@ -517,6 +551,30 @@ def _check_convert(kind_from, kind_to, tree, ell):
         raise ValueError(f"ell {ell} out of range for dimension {n}")
 
 
+def _execute(fam, v, phi_vec, c, ell, b, data, table, counter):
+    """Check and run one call of fam at vertex v on a copy of data, charging
+    counter; returns the output.
+
+    l2x and x2l work in a zero-padded scratch of 2^n_v entries and keep its
+    first max(c + b, ell), respectively max(c, ell), entries.
+    """
+    buf = CoeffBuffer(data, counter)
+    if fam.full:
+        buf.data += [0] * ((1 << table.tree.size[v]) - ell)
+    args = _start(fam, v, c, ell, b, phi_vec, buf.view(), table)
+    if fam.full:
+        # args are (c, ell, b) for l2x and (c, ell) for x2l.
+        del buf.data[max(ell, sum(args) - ell):]
+    return buf.data
+
+
+def _twisted(field, coeffs, w, counter):
+    """coeffs after scale_by_powers by w, charging counter."""
+    buf = CoeffBuffer(coeffs, counter)
+    scale_by_powers(field, buf.view(), w)
+    return buf.data
+
+
 def run_transform(name, v, phi_vec, c, ell, b, data, table):
     """Run one raw transform at vertex v on data; returns (output, OpCounter).
 
@@ -525,37 +583,23 @@ def run_transform(name, v, phi_vec, c, ell, b, data, table):
     x2l its first max(c, ell).  x2l ignores b, the others c and b, and x2m
     and m2x also phi_vec.
     """
-    if name == "l2x":
-        buf = CoeffBuffer(list(data) + [0] * ((1 << table.tree.n_of(v)) - ell))
-        l2x(v, phi_vec, c, ell, b, buf.view(), table)
-        return buf.data[:max(c + b, ell)], buf.counter
-    if name == "x2l":
-        buf = CoeffBuffer(list(data) + [0] * ((1 << table.tree.n_of(v)) - ell))
-        x2l(v, phi_vec, c, ell, buf.view(), table)
-        return buf.data[:max(c, ell)], buf.counter
-    buf = CoeffBuffer(data)
-    if name in ("x2m", "m2x"):
-        (x2m if name == "x2m" else m2x)(v, ell, buf.view(), table)
-    else:
-        {"n2x": n2x, "x2n": x2n}[name](v, phi_vec, ell, buf.view(), table)
-    return buf.data, buf.counter
+    counter = OpCounter()
+    return _execute(_FAMILIES[name], v, phi_vec, c, ell, b, data, table, counter), counter
 
 
-def convert(field, kind_from, kind_to, beta, tree, lam, ell, coeffs, table=None):
+def convert(field, kind_from, kind_to, beta, tree, lam, ell, coeffs, table):
     """Convert between two named bases; returns (coefficients, OpCounter).
 
-    All pairs route through the graded basis.  The substitution needed by
-    the monomial legs is counted in twist_multiplications; lam is ignored
-    by those legs, which carry no evaluation shift.  A given table fixes
-    the field, basis and tree, and the ones passed must match it.
+    All pairs route through the graded basis, by the legs in _LEGS.  The
+    substitution needed by the monomial legs is counted in
+    twist_multiplications; lam is ignored by those legs, which carry no
+    evaluation shift.  The table fixes the field, basis and tree, and the
+    ones passed must match it.
     """
-    if table is None:
-        table = build_tables(field, tree, beta)
-    elif (field, tuple(beta), tree) != (table.field, table.beta, table.tree):
+    if (field, tuple(beta), tree) != (table.field, table.beta, table.tree):
         raise ValueError("field, basis or tree does not match the table")
     field, beta, tree = table.field, table.beta, table.tree
     _check_convert(kind_from, kind_to, tree, ell)
-    n = tree.size[0]
     coeffs = list(coeffs)
     if len(coeffs) != ell:
         raise ValueError(f"expected {ell} coefficients, got {len(coeffs)}")
@@ -567,37 +611,17 @@ def convert(field, kind_from, kind_to, beta, tree, lam, ell, coeffs, table=None)
     if kind_from == kind_to:
         return coeffs, counter
     phi_vec = initial_phi_vector(field, tree, table.bases, lam)
-
-    if kind_from == "lch":
-        work = coeffs
-    elif kind_from == "newton":
-        buf = CoeffBuffer(coeffs, counter)
-        n2x(0, phi_vec, ell, buf.view(), table)
-        work = buf.data
-    elif kind_from == "lagrange":
-        buf = CoeffBuffer(coeffs + [0] * ((1 << n) - ell), counter)
-        l2x(0, phi_vec, ell, ell, 0, buf.view(), table)
-        work = buf.data[:ell]
-    else:
-        buf = CoeffBuffer(coeffs, counter)
-        scale_by_powers(field, buf.view(), beta[0])
-        m2x(0, ell, buf.view(), table)
-        work = buf.data
-
-    if kind_to == "lch":
-        return work, counter
-    if kind_to == "newton":
-        buf = CoeffBuffer(work, counter)
-        x2n(0, phi_vec, ell, buf.view(), table)
-        return buf.data, counter
-    if kind_to == "lagrange":
-        buf = CoeffBuffer(work + [0] * ((1 << n) - ell), counter)
-        x2l(0, phi_vec, ell, ell, buf.view(), table)
-        return buf.data[:ell], counter
-    buf = CoeffBuffer(work, counter)
-    x2m(0, ell, buf.view(), table)
-    scale_by_powers(field, buf.view(), field.inv(beta[0]))
-    return buf.data, counter
+    if kind_from in _LEGS:
+        into, _, twisted = _LEGS[kind_from]
+        if twisted:
+            coeffs = _twisted(field, coeffs, beta[0], counter)
+        coeffs = _execute(into, 0, phi_vec, ell, ell, 0, coeffs, table, counter)
+    if kind_to in _LEGS:
+        _, out, twisted = _LEGS[kind_to]
+        coeffs = _execute(out, 0, phi_vec, ell, ell, 0, coeffs, table, counter)
+        if twisted:
+            coeffs = _twisted(field, coeffs, field.inv(beta[0]), counter)
+    return coeffs, counter
 
 
 class CountModel:
@@ -606,46 +630,39 @@ class CountModel:
     Counts are data-independent: the recursion shape depends only on the
     vertex and length parameters, and the scaling guards only on stored
     table heads.  One memoized replay sums each family's split by group
-    multiplicity, so whole-range ell sweeps are cheap where executing the
-    transforms would not be.
+    multiplicity and prices leaf calls by the family's leaf cost, so
+    whole-range ell sweeps are cheap where executing the transforms would
+    not be.  Arguments the executors reject raise the same ValueError here.
     """
-
-    # Family, named by one of its executors -> (split, whether rows advance
-    # a shift vector).  x2n counts as n2x does, and m2x as x2m.
-    _FAMILIES = {"n2x": (graded_split, True), "x2m": (graded_split, False),
-                 "l2x": (l2x_split, True), "x2l": (x2l_split, True)}
 
     def __init__(self, table):
         self.table = table
         self.tree = table.tree
         self._memo = {}
+        self._legs = {}
 
-    def _count(self, family, v, args):
+    def _count(self, fam, v, args):
         """(additions, multiplications) of one executor call of a family."""
-        key = (family, v, args)
+        key = (fam.key, v, args)
         memo = self._memo
         hit = memo.get(key)
         if hit is not None:
             return hit
         tree = self.tree
-        if tree.alpha[v] < 0 or family == "x2m" and args[0] <= 2:
-            # A call without child calls costs the same at every vertex.
-            hit = memo.get((family, None, args))
-            if hit is None:
-                hit = memo[family, None, args] = self._run_on_zeros(family, v, args)
+        va = tree.alpha[v]
+        if va < 0 or fam.leaves is None and args[0] <= 2:
+            hit = fam.cost(args)
         else:
-            split, shifted = self._FAMILIES[family]
-            va, vd = tree.alpha[v], tree.delta[v]
-            d = tree.size[va]
+            vd, d = tree.delta[v], tree.size[va]
+            shifted = fam.leaves is not None
             a = m = 0
-            for phase in split(d, *args):
-                for group in phase:
-                    count = group[2]
+            for phase in fam.split(d, *args):
+                for row, _, count, shift, cargs in phase:
                     if count:
-                        ca, cm = self._count(family, va if group[0] else vd, group[4])
-                        a += count * (ca + d * (group[3] and shifted))
+                        ca, cm = self._count(fam, va if row else vd, cargs)
+                        a += count * (ca + d * (shift and shifted))
                         m += count * cm
-            if family == "x2m":
+            if fam.leaves is None:
                 ell, w = args[0], 1 << d
                 a += self.taylor(w, ell)
                 if ell > w and self.table.delta_head(v) != 1:
@@ -654,26 +671,25 @@ class CountModel:
         memo[key] = hit
         return hit
 
-    def _run_on_zeros(self, family, v, args):
-        """Counts of a call without child calls, read off one run on zeros."""
-        # args as run_transform takes them: (c, ell, b).
-        c, ell, b = {"l2x": args, "x2l": args + (0,)}.get(family, args * 2 + (0,))
-        _, ctr = run_transform(family, v, [0], c, ell, b, [0] * ell, self.table)
-        return ctr.totals()[:2]
+    def transform(self, name, v, c, ell, b):
+        """(additions, multiplications, twist_multiplications) of
+        run_transform(name, v, phi_vec, c, ell, b, data, table)."""
+        fam = _FAMILIES[name]
+        return self._count(fam, v, _args(fam, self.tree.size[v], c, ell, b)) + (0,)
 
     def nx(self, v, ell):
         """(additions, multiplications) of n2x and of x2n."""
-        return self._count("n2x", v, (ell,))
+        return self.transform("n2x", v, ell, ell, 0)[:2]
 
     def l2x(self, v, c, ell, b):
-        return self._count("l2x", v, (c, ell, b))
+        return self.transform("l2x", v, c, ell, b)[:2]
 
     def x2l(self, v, c, ell):
-        return self._count("x2l", v, (c, ell))
+        return self.transform("x2l", v, c, ell, 0)[:2]
 
     def xm(self, v, ell):
         """(additions, multiplications) of x2m and of m2x."""
-        return self._count("x2m", v, (ell,))
+        return self.transform("x2m", v, ell, ell, 0)[:2]
 
     def taylor(self, t, ell):
         """Additions of taylor_expand and of taylor_inverse."""
@@ -686,22 +702,25 @@ class CountModel:
             return 0
         return 2 * ell - 3
 
+    def _leg(self, kind, side, ell):
+        """Totals of convert's leg of kind at ell, into the graded basis
+        (side 0) or out of it (side 1); lch has no legs."""
+        key = (kind, side, ell)
+        hit = self._legs.get(key)
+        if hit is None:
+            hit = (0, 0, 0)
+            if kind in _LEGS:
+                fam, twisted = _LEGS[kind][side], _LEGS[kind][2]
+                a, m = self._count(fam, 0, _args(fam, self.tree.size[0], ell, ell, 0))
+                hit = (a, m, self.twist(ell) if twisted else 0)
+            self._legs[key] = hit
+        return hit
+
     def convert(self, kind_from, kind_to, ell):
         """(additions, multiplications, twist_multiplications) of convert()."""
         _check_convert(kind_from, kind_to, self.tree, ell)
         if kind_from == kind_to:
             return (0, 0, 0)
-        a = m = tw = 0
-        for kind, into in ((kind_from, False), (kind_to, True)):
-            if kind == "lch":
-                continue
-            if kind == "newton":
-                da, dm = self.nx(0, ell)
-            elif kind == "lagrange":
-                da, dm = self.l2x(0, ell, ell, 0) if not into else self.x2l(0, ell, ell)
-            else:
-                da, dm = self.xm(0, ell)
-                tw += self.twist(ell)
-            a += da
-            m += dm
-        return (a, m, tw)
+        a, m, tw = self._leg(kind_from, 0, ell)
+        da, dm, dtw = self._leg(kind_to, 1, ell)
+        return (a + da, m + dm, tw + dtw)

@@ -130,9 +130,13 @@ def test_counts_monotone_smoke(capsys):
         assert all(x <= y for x, y in zip(adds, adds[1:]))
 
 
-def test_counts_calc_agrees_with_execution(capsys):
+@pytest.mark.parametrize("transform", [
+    "n2x", "x2n", "l2x", "x2l", "x2m", "m2x", "l2x --c 3 --b 1 --ell 3:64",
+    "convert:lagrange-monomial", "convert:monomial-newton",
+])
+def test_counts_calc_agrees_with_execution(capsys, transform):
     base = ("counts", "--field", "12", "--basis", "tower:1-2-4-12", "--tree",
-            "max:1-2-4-12", "--n", "6", "--transform", "x2m")
+            "max:1-2-4-12", "--n", "6", "--transform", *transform.split())
     code, out, _ = run(capsys, *base)
     assert code == 0
     code, out_calc, _ = run(capsys, *base, "--calc")
