@@ -36,24 +36,17 @@ from binbasis.redtree import (
 )
 from binbasis.transforms import BASIS_KINDS, CountModel, convert, run_transform
 
-TRANSFORMS = ("n2x", "x2n", "l2x", "x2l", "x2m", "m2x")
-
-ADD_BOUNDS = {"n2x": "newton_add", "x2n": "newton_add", "l2x": "l2x_add",
-              "x2l": "x2l_add", "x2m": "monomial_add", "m2x": "monomial_add"}
-MUL_BOUNDS = {"n2x": "newton_mul", "x2n": "newton_mul", "l2x": "l2x_mul",
-              "x2l": "x2l_mul", "x2m": "monomial_mul", "m2x": "monomial_mul"}
+# Raw transforms and the family of their default bounds, <family>_add/_mul.
+BOUND_FAMILIES = {"n2x": "newton", "x2n": "newton", "l2x": "l2x", "x2l": "x2l",
+                  "x2m": "monomial", "m2x": "monomial"}
 
 STRATEGY_FORMS = ("trivial", "cantor", "max:<tower>", "balanced:<tower>",
                   "graft:<t>", "explicit:<serialized>")
 
 
-class CliError(Exception):
-    """Any configuration or runtime failure; rendered as one ERROR line."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise CliError(message)
+        raise ValueError(message)
 
 
 @dataclass(frozen=True)
@@ -95,7 +88,7 @@ class RunConfig:
         for token in text.split():
             key, sep, value = token.partition("=")
             if not sep:
-                raise CliError(f"bad config token {token!r}")
+                raise ValueError(f"bad config token {token!r}")
             vals[key] = value
         try:
             lo, hi = vals["ell"].split(":")
@@ -115,24 +108,21 @@ class RunConfig:
                 out=undash(vals["out"]),
             )
         except (KeyError, ValueError) as exc:
-            raise CliError(f"bad config string: {exc}")
+            raise ValueError(f"bad config string: {exc}")
 
 
 def resolve_field(spec):
     """The shared field instance for a degree or a `<m>:0x<modulus>` spec."""
-    try:
-        if ":" in spec:
-            return get_field(*Field.parse_spec(spec))
-        return get_field(int(spec))
-    except ValueError as exc:
-        raise CliError(str(exc))
+    if ":" in spec:
+        return get_field(*Field.parse_spec(spec))
+    return get_field(int(spec))
 
 
 def _block_size(spec):
     """The block size t of a `gencantor:<t>` or `graft:<t>` spec."""
     t = int(spec.split(":", 1)[1])
     if t < 1:
-        raise CliError(f"block size in {spec!r} must be at least 1")
+        raise ValueError(f"block size in {spec!r} must be at least 1")
     return t
 
 
@@ -153,11 +143,11 @@ def build_basis(field, source, n):
     if source.startswith("explicit:"):
         beta = basis_from_string(source.split(":", 1)[1])
         if len(beta) != n:
-            raise CliError(f"explicit basis has {len(beta)} entries, expected {n}")
+            raise ValueError(f"explicit basis has {len(beta)} entries, expected {n}")
         if not is_independent(beta):
-            raise CliError("explicit basis entries are dependent")
+            raise ValueError("explicit basis entries are dependent")
         return beta
-    raise CliError(f"unknown basis source {source!r}")
+    raise ValueError(f"unknown basis source {source!r}")
 
 
 def _strategy_degrees(text):
@@ -180,32 +170,37 @@ def build_tree(strategy, n):
         return graft_cantor_tree(t, n, base)
     if strategy.startswith("explicit:"):
         return ReductionTree.parse(strategy.split(":", 1)[1])
-    raise CliError(f"unknown tree strategy {strategy!r}")
+    raise ValueError(f"unknown tree strategy {strategy!r}")
 
 
 def config_from_args(args):
     field = resolve_field(args.field)
     n = args.n
     if not 1 <= n <= field.degree:
-        raise CliError(f"dimension {n} out of range for GF(2^{field.degree})")
+        raise ValueError(f"dimension {n} out of range for GF(2^{field.degree})")
     size = 1 << n
     ell_text = getattr(args, "ell", None) or f"1:{size}"
     try:
         lo, _, hi = ell_text.partition(":")
         ell_lo, ell_hi = int(lo), int(hi) if hi else int(lo)
     except ValueError:
-        raise CliError(f"bad ell range {ell_text!r}; expected 'lo:hi'")
+        raise ValueError(f"bad ell range {ell_text!r}; expected 'lo:hi'")
     if not 1 <= ell_lo <= ell_hi <= size:
-        raise CliError(f"ell range {ell_lo}:{ell_hi} out of 1..{size}")
+        raise ValueError(f"ell range {ell_lo}:{ell_hi} out of 1..{size}")
     try:
         lam = int(getattr(args, "lam", "0"), 16)
     except ValueError:
-        raise CliError(f"bad lambda {args.lam!r}; expected hex")
+        raise ValueError(f"bad lambda {args.lam!r}; expected hex")
     if not 0 <= lam < field.order:
-        raise CliError("lambda outside the field")
+        raise ValueError("lambda outside the field")
     transform = getattr(args, "transform", "n2x")
-    if transform not in TRANSFORMS and not _convert_kinds(transform):
-        raise CliError(f"unknown transform {transform!r}")
+    if transform not in BOUND_FAMILIES and not _convert_kinds(transform):
+        raise ValueError(f"unknown transform {transform!r}")
+    c, b = getattr(args, "c", None), getattr(args, "b", None)
+    if c is not None and transform not in ("l2x", "x2l"):
+        raise ValueError(f"--c applies to l2x and x2l only, not {transform}")
+    if b is not None and transform != "l2x":
+        raise ValueError(f"--b applies to l2x only, not {transform}")
     return RunConfig(
         field_spec=field.spec_string(),
         basis=args.basis,
@@ -215,8 +210,8 @@ def config_from_args(args):
         ell_lo=ell_lo,
         ell_hi=ell_hi,
         lam=f"{lam:x}",
-        c=getattr(args, "c", None),
-        b=getattr(args, "b", None),
+        c=c,
+        b=b,
         calc=bool(getattr(args, "calc", False)),
         out=getattr(args, "out", None),
     )
@@ -231,13 +226,10 @@ def _convert_kinds(transform):
     return None
 
 
-def materialize(cfg):
+def field_basis_tree(cfg):
+    """(field, basis, tree) of a config."""
     field = resolve_field(cfg.field_spec)
-    try:
-        beta = build_basis(field, cfg.basis, cfg.n)
-        return build_tables(field, build_tree(cfg.tree, cfg.n), beta)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    return field, build_basis(field, cfg.basis, cfg.n), build_tree(cfg.tree, cfg.n)
 
 
 def emit(lines, out_path):
@@ -257,12 +249,12 @@ def _mixed_params(cfg, ell):
 def measurer(cfg):
     """ell -> (adds, muls, twists) of the configured transform, replayed by
     CountModel under --calc and executed on seeded random data otherwise."""
-    table = materialize(cfg)
-    field = table.field
+    field, beta, tree = field_basis_tree(cfg)
+    table = build_tables(field, tree, beta)
     lam = int(cfg.lam, 16)
     kinds = _convert_kinds(cfg.transform)
     model = CountModel(table) if cfg.calc else None
-    phi = None if cfg.calc else initial_phi_vector(field, table.tree, table.bases, lam)
+    phi = None if cfg.calc else initial_phi_vector(field, tree, table.bases, lam)
     rng = random.Random(0)
 
     def measure(ell):
@@ -270,46 +262,32 @@ def measurer(cfg):
             if model is not None:
                 return model.convert(kinds[0], kinds[1], ell)
             coeffs = [rng.randrange(field.order) for _ in range(ell)]
-            _, ctr = convert(field, kinds[0], kinds[1], table.beta, table.tree,
-                             lam, ell, coeffs, table)
-            return ctr.totals()
+            return convert(field, kinds[0], kinds[1], beta, tree, lam, ell, coeffs,
+                           table)[1].totals()
         c, b = _mixed_params(cfg, ell)
-        try:
-            if model is not None:
-                return model.transform(cfg.transform, 0, c, ell, b)
-            data = [rng.randrange(field.order) for _ in range(ell)]
-            return run_transform(cfg.transform, 0, phi, c, ell, b, data, table)[1].totals()
-        except ValueError as exc:
-            raise CliError(f"{cfg.transform}: {exc}")
+        if model is not None:
+            return model.transform(cfg.transform, 0, c, ell, b)
+        data = [rng.randrange(field.order) for _ in range(ell)]
+        return run_transform(cfg.transform, 0, phi, c, ell, b, data, table)[1].totals()
 
     return measure
 
 
 def cmd_construct(args):
     cfg = config_from_args(args)
-    field = resolve_field(cfg.field_spec)
-    try:
-        beta = build_basis(field, cfg.basis, cfg.n)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    emit([element_to_hex(b) for b in beta], cfg.out)
+    emit([element_to_hex(b) for b in field_basis_tree(cfg)[1]], cfg.out)
     return 0
 
 
 def cmd_trees(args):
-    if args.strategy is None:
+    if args.tree is None:
         emit(list(STRATEGY_FORMS), args.out)
         return 0
     if args.field is None or args.n is None:
-        raise CliError("validating a strategy requires --field and --n")
+        raise ValueError("validating a strategy requires --field and --n")
     cfg = config_from_args(args)
-    field = resolve_field(cfg.field_spec)
-    try:
-        beta = build_basis(field, cfg.basis, cfg.n)
-        tree = build_tree(args.strategy, cfg.n)
-        ok = validate(field, tree, beta)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    field, beta, tree = field_basis_tree(cfg)
+    ok = validate(field, tree, beta)
     degrees = ",".join(str(d) for d in sorted(tree.degree_image()))
     emit([tree.serialize(), f"degrees: {degrees}", "valid" if ok else "invalid"],
          cfg.out)
@@ -319,13 +297,8 @@ def cmd_trees(args):
 def cmd_verify(args):
     cfg = config_from_args(args)
     if cfg.n > 6:
-        raise CliError("verify is capped at n = 6 (dense oracle cost)")
-    field = resolve_field(cfg.field_spec)
-    try:
-        beta = build_basis(field, cfg.basis, cfg.n)
-        tree = build_tree(cfg.tree, cfg.n)
-    except ValueError as exc:
-        raise CliError(str(exc))
+        raise ValueError("verify is capped at n = 6 (dense oracle cost)")
+    field, beta, tree = field_basis_tree(cfg)
     lines = [f"# config: {cfg.to_string()}"]
     if not validate(field, tree, beta):
         lines.append("FAIL validate tree incompatible with basis")
@@ -367,16 +340,12 @@ def cmd_verify(args):
 def cmd_counts(args):
     cfg = config_from_args(args)
     measure = measurer(cfg)
-    header = "ell,additions,multiplications"
-    if _convert_kinds(cfg.transform):
-        header += ",twist_multiplications"
-    lines = [f"# config: {cfg.to_string()}", header]
+    # Only convert pairs have the twist multiplication column.
+    width = 4 if _convert_kinds(cfg.transform) else 3
+    columns = ("ell", "additions", "multiplications", "twist_multiplications")
+    lines = [f"# config: {cfg.to_string()}", ",".join(columns[:width])]
     for ell in range(cfg.ell_lo, cfg.ell_hi + 1):
-        adds, muls, twists = measure(ell)
-        row = f"{ell},{adds},{muls}"
-        if _convert_kinds(cfg.transform):
-            row += f",{twists}"
-        lines.append(row)
+        lines.append(",".join(map(str, (ell, *measure(ell))[:width])))
     emit(lines, cfg.out)
     return 0
 
@@ -384,27 +353,20 @@ def cmd_counts(args):
 def cmd_bounds(args):
     cfg = config_from_args(args)
     if _convert_kinds(cfg.transform):
-        raise CliError("bounds supports the raw transforms only")
+        raise ValueError("bounds supports the raw transforms only")
     measure = measurer(cfg)
-    add_id = args.bound_add or ADD_BOUNDS[cfg.transform]
-    mul_id = args.bound_mul or MUL_BOUNDS[cfg.transform]
+    family = BOUND_FAMILIES[cfg.transform]
+    add_id = args.bound_add or f"{family}_add"
+    mul_id = args.bound_mul or f"{family}_mul"
     worst = None
     for ell in range(cfg.ell_lo, cfg.ell_hi + 1):
         adds, muls, _ = measure(ell)
         c, b = _mixed_params(cfg, ell)
         for column, count, formula_id in (("additions", adds, add_id),
                                           ("multiplications", muls, mul_id)):
-            params = {"ell": ell}
-            if formula_id.startswith("l2x"):
-                params.update(c=c, b=b, n=cfg.n)
-            elif formula_id.startswith("x2l"):
-                params.update(c=c, n=cfg.n)
-            try:
-                limit = bound(formula_id, **params)
-            except ValueError as exc:
-                raise CliError(str(exc))
+            limit = bound(formula_id, ell=ell, c=c, b=b, n=cfg.n)
             if count > limit:
-                raise CliError(
+                raise ValueError(
                     f"{cfg.transform} {column} exceed {formula_id} at "
                     f"ell={ell}: {count} > {limit}")
             slack = limit - count
@@ -441,7 +403,7 @@ def build_parser():
     sp.set_defaults(func=cmd_construct)
 
     sp = sub.add_parser("trees", help="list strategies, or validate one")
-    sp.add_argument("--strategy", default=None)
+    sp.add_argument("--strategy", dest="tree", metavar="STRATEGY", default=None)
     sp.add_argument("--field", default=None)
     sp.add_argument("--basis", default="cantor")
     sp.add_argument("--n", type=int, default=None)
@@ -481,7 +443,7 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except CliError as exc:
+    except (ValueError, OSError) as exc:
         print(f"ERROR: {exc}", file=sys.stderr)
         return 1
 

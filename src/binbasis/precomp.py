@@ -8,22 +8,15 @@ subtree.  Transforms only ever need phi at the prefix sums sigma_{v,i} of
 the suffix basis, so those n(n-1)/2 values are computed once and stored.
 """
 
-from binbasis.basisgen import alpha_of, delta_of, is_independent
-from binbasis.redtree import validate
+from binbasis.basisgen import is_independent
+from binbasis.redtree import vertex_bases
 
 
 def compute_vertex_bases(field, tree, beta):
     """Basis at every vertex, as a tuple indexed by preorder vertex id."""
-    if not validate(field, tree, beta):
+    bases = vertex_bases(field, tree, beta)
+    if bases is None:
         raise ValueError("basis does not satisfy the tree's splitting conditions")
-    bases = [None] * len(tree.size)
-    bases[0] = tuple(beta)
-    for v in tree.vertices():
-        if tree.is_leaf(v):
-            continue
-        d = tree.d_of(v)
-        bases[tree.alpha[v]] = alpha_of(bases[v], d)
-        bases[tree.delta[v]] = delta_of(field, bases[v], d)
     for b in bases:
         if not is_independent(b):
             raise ValueError("vertex basis lost independence")

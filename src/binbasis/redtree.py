@@ -11,7 +11,7 @@ Vertices live in a preorder arena: vertex 0 is the root and every subtree
 occupies a contiguous id range, so per-vertex data can be kept in flat lists.
 """
 
-from binbasis.basisgen import delta_of
+from binbasis.basisgen import alpha_of, delta_of
 
 LEAF = "*"
 # Fields have degree at most 32, so no usable tree has more than 32 leaves
@@ -130,14 +130,15 @@ class ReductionTree:
         return f"ReductionTree({self.serialize()!r})"
 
 
-def validate(field, tree, beta):
-    """True iff the tree schedules only subfield-compatible reductions of beta."""
+def vertex_bases(field, tree, beta):
+    """Basis at every vertex by preorder id, or None when the tree does not
+    schedule only subfield-compatible reductions of beta."""
     if tree.n != len(beta):
-        return False
-
-    def rec(v, basis):
-        if tree.is_leaf(v):
-            return True
+        return None
+    bases = [None] * len(tree.size)
+    bases[0] = tuple(beta)
+    for v in tree.internal_vertices():
+        basis = bases[v]
         d = tree.d_of(v)
         inv0 = field.inv(basis[0])
         for i in range(d):
@@ -145,71 +146,52 @@ def validate(field, tree, beta):
             # Fixed points of the d-fold Frobenius are exactly the elements
             # of GF(2^d) that exist in this field; no divisibility needed.
             if field.pow2k(q, d) != q:
-                return False
-        return rec(tree.alpha[v], basis[:d]) and \
-            rec(tree.delta[v], delta_of(field, basis, d))
+                return None
+        bases[tree.alpha[v]] = alpha_of(basis, d)
+        bases[tree.delta[v]] = delta_of(field, basis, d)
+    return tuple(bases)
 
-    return rec(0, tuple(beta))
+
+def validate(field, tree, beta):
+    """True iff the tree schedules only subfield-compatible reductions of beta."""
+    return vertex_bases(field, tree, beta) is not None
 
 
-def _comb_shape(n):
-    if n == 1:
-        return LEAF
-    return (LEAF, _comb_shape(n - 1))
+def _build(n, split):
+    """Tree whose vertex with k > 1 leaves puts split(k) of them in its prefix."""
+    if n < 1:
+        raise ValueError("trees need at least one leaf")
+
+    def shape(k):
+        if k == 1:
+            return LEAF
+        d = split(k)
+        return (shape(d), shape(k - d))
+
+    return ReductionTree.from_shape(shape(n))
 
 
 def build_trivial(n):
     """Comb with prefix size 1 at every internal vertex; valid for any basis."""
-    if n < 1:
-        raise ValueError("trees need at least one leaf")
-    return ReductionTree.from_shape(_comb_shape(n))
-
-
-def _halving_shape(n):
-    if n == 1:
-        return LEAF
-    d = 1 << ((n - 1).bit_length() - 1)
-    return (_halving_shape(d), _halving_shape(n - d))
+    return _build(n, lambda k: 1)
 
 
 def build_cantor_tree(n):
     """Split off the largest power of two below n at every vertex."""
-    if n < 1:
-        raise ValueError("trees need at least one leaf")
-    return ReductionTree.from_shape(_halving_shape(n))
+    return _build(n, lambda k: 1 << ((k - 1).bit_length() - 1))
 
 
 def build_max_tree(n, degrees):
     """Prefix size = largest allowed degree below the vertex size."""
     choices = _check_degree_set(degrees)
-
-    def shape(k):
-        if k == 1:
-            return LEAF
-        d = max(i for i in choices if i < k)
-        return (shape(d), shape(k - d))
-
-    if n < 1:
-        raise ValueError("trees need at least one leaf")
-    return ReductionTree.from_shape(shape(n))
+    return _build(n, lambda k: max(i for i in choices if i < k))
 
 
 def build_balanced_tree(n, degrees):
     """Prefix size minimizing max(d, size - d); ties go to the larger d."""
     choices = _check_degree_set(degrees)
-
-    def shape(k):
-        if k == 1:
-            return LEAF
-        d = max(
-            (i for i in choices if i < k),
-            key=lambda i: (-max(i, k - i), i),
-        )
-        return (shape(d), shape(k - d))
-
-    if n < 1:
-        raise ValueError("trees need at least one leaf")
-    return ReductionTree.from_shape(shape(n))
+    return _build(n, lambda k: max((i for i in choices if i < k),
+                                   key=lambda i: (-max(i, k - i), i)))
 
 
 def _check_degree_set(degrees):

@@ -287,3 +287,28 @@ def test_deeply_nested_explicit_tree_is_one_error_line(capsys):
     assert code == 1 and out == ""
     assert err.startswith("ERROR: ") and err.count("\n") == 1
     assert "nested deeper" in err
+
+
+@pytest.mark.parametrize("command", ["counts", "bounds"])
+def test_c_and_b_only_for_the_transforms_that_read_them(capsys, command):
+    for extra, flag in ((("n2x", "--c", "99", "--b", "7"), "--c"),
+                        (("convert:newton-lch", "--c", "1"), "--c"),
+                        (("x2l", "--b", "1"), "--b")):
+        code, out, err = run(capsys, command, "--field", "16", "--n", "3",
+                             "--transform", *extra)
+        assert code == 1 and out == "", extra
+        assert err.startswith(f"ERROR: {flag} applies to "), extra
+        assert err.count("\n") == 1, extra
+
+
+@pytest.mark.parametrize("argv", [
+    ("counts", "--field", "16", "--n", "3"),
+    ("trees",),
+    ("trees", "--strategy", "cantor", "--field", "16", "--n", "4"),
+])
+def test_out_to_missing_directory_is_one_error_line(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("ERROR: ") and err.count("\n") == 1
+    assert not target.exists()

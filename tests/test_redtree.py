@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from binbasis.basisgen import construct_cantor, construct_tower_basis, make_tower, random_basis
+from binbasis.basisgen import (
+    construct_cantor,
+    construct_tower_basis,
+    delta_of,
+    make_tower,
+    random_basis,
+)
 from binbasis.field import get_field
 from binbasis.redtree import (
     LEAF,
@@ -14,6 +20,7 @@ from binbasis.redtree import (
     enumerate_trees,
     graft_cantor_tree,
     validate,
+    vertex_bases,
 )
 
 
@@ -195,3 +202,20 @@ def test_prime_degree_field_admits_only_unit_splits():
     for tree in enumerate_trees(5):
         expected = tree.degree_image() <= {0, 1}
         assert validate(f, tree, beta) == expected
+
+
+def test_vertex_bases_one_preorder_pass():
+    f = get_field(13)
+    beta = random_basis(f, 5, random.Random(22))
+    assert vertex_bases(f, build_trivial(4), beta) is None
+    for tree in enumerate_trees(5):
+        bases = vertex_bases(f, tree, beta)
+        # GF(2^13) has no subfield but GF(2), so only unit splits survive.
+        assert (bases is None) == (tree.degree_image() > {1})
+        if bases is None:
+            continue
+        assert bases[0] == beta
+        for v in tree.internal_vertices():
+            d = tree.d_of(v)
+            assert bases[tree.alpha[v]] == bases[v][:d]
+            assert bases[tree.delta[v]] == delta_of(f, bases[v], d)
