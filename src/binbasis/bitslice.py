@@ -1,0 +1,349 @@
+"""Bit-plane executor for the six transforms, in the McBits layout.
+
+A view of N entries of GF(2^m) is held as m bit-planes: plane b is one
+Python int whose bit p is bit b of entry p.  A batch of calls of one vertex
+is a mask whose bits are the calls' start positions, plus one stride 2^e
+shared by the calls; the child batch of a split group is the parent mask
+times the repunit over the group's row (or column) starts.  A level of
+butterflies then costs a fixed number of shifts, masks and XORs per plane,
+whatever the batch size, and a lane-wise product is an m x m AND/XOR
+schoolbook on planes reduced by the modulus taps.
+
+No shift vectors are carried.  The shift of a leaf call at position p is
+phi_vec[L] ^ lin_L(p) for its leaf L, where lin_L is GF(2)-linear in the
+bits of p: row i of an alpha child advances by the sum over the bits k of
+i of sh[k] ^ sh[k-1], sh = phi_alpha[v][r] and sh[-1] = 0.  The m planes of
+lin_L depend on the table and the start vertex only, so the table keeps
+them; a call adds its own base.
+
+The walk reuses the family records and group checks of transforms and
+charges the same counts as the scalar executor there, which stays the
+reference.
+"""
+
+import sys
+from array import array
+from functools import reduce
+from operator import and_, xor
+
+from binbasis import transforms
+
+# _CHARS[j] maps a byte to ASCII '1' where its bit j is set, else '0'.
+_CHARS = tuple(bytes(48 + (x >> j & 1) for x in range(256)) for j in range(8))
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _typecode(m):
+    """An array typecode whose items hold m bits."""
+    return next(code for code in "BHILQ" if array(code).itemsize * 8 >= m)
+
+
+def to_planes(values, m):
+    """The m bit-planes of values, elements of GF(2^m)."""
+    raw = array(_typecode(m), values)
+    size = raw.itemsize
+    if sys.byteorder == "big":
+        raw.byteswap()
+    raw = raw.tobytes()
+    return [int(raw[b >> 3::size].translate(_CHARS[b & 7])[::-1], 2) for b in range(m)]
+
+
+def from_planes(planes, m, count):
+    """The first count values held by m bit-planes; inverse of to_planes."""
+    out = array(_typecode(m))
+    size = out.itemsize
+    raw = bytearray(size * count)
+    for k in range(0, m, 8):
+        # One byte per entry: bit j of byte p is bit k + j of entry p.
+        acc = 0
+        for j, plane in enumerate(planes[k:k + 8]):
+            bits = format(plane, f"0{count}b").encode()[::-1].translate(_BITS)
+            acc |= int.from_bytes(bits, "little") << j
+        raw[k >> 3::size] = acc.to_bytes(count, "little")
+    out.frombytes(raw)
+    if sys.byteorder == "big":
+        out.byteswap()
+    return out.tolist()
+
+
+def _repunit(count, step):
+    """Sum of 2^(step*i) for i < count."""
+    return ((1 << step * count) - 1) // ((1 << step) - 1)
+
+
+# _TERMS[m][k] slices the factors of the degree-k terms of an m x m
+# schoolbook: a[i0:i1] pairs with the reversed b[j0:j1].
+_TERMS = tuple(tuple((max(k - m + 1, 0), k + 1, max(m - 1 - k, 0), 2 * m - 1 - k)
+                     for k in range(2 * m - 1)) for m in range(33))
+
+
+def _product(a, b, taps):
+    """Lane-wise product of two plane lists modulo x^m + sum of x^t, t in taps."""
+    m = len(a)
+    rb = b[::-1]
+    z = [reduce(xor, map(and_, a[i0:i1], rb[j0:j1])) for i0, i1, j0, j1 in _TERMS[m]]
+    for k in range(2 * m - 2, m - 1, -1):
+        top = z[k]
+        for t in taps:
+            z[k - m + t] ^= top
+    return z[:m]
+
+
+def leaf_planes(table, v, leaf):
+    """The m planes of lin_leaf over the 2^n_v positions of a call at v.
+
+    Built once per (v, leaf) and kept by the table.
+    """
+    key = (v, leaf)
+    planes = table.leaf_planes.get(key)
+    if planes is not None:
+        return planes
+    tree = table.tree
+    target = tree.leaf_start[leaf]
+    # cols[t] is lin_leaf of the position 2^t.  At a vertex u whose calls
+    # have stride 2^e, row bit k of the matrix view is position bit e + d + k.
+    cols = [0] * tree.size[v]
+    e, u = 0, v
+    while u != leaf:
+        a = tree.alpha[u]
+        d = tree.size[a]
+        if target < tree.leaf_start[a] + d:
+            prev = 0
+            for k, sh in enumerate(table.phi_alpha[u][target - tree.leaf_start[a]]):
+                cols[e + d + k] ^= sh ^ prev
+                prev = sh
+            u = a
+        else:
+            e += d
+            u = tree.delta[u]
+    planes = [0] * table.field.degree
+    width = 1
+    for col in cols:
+        ones = (1 << width) - 1
+        planes = [p | (p ^ ones if col >> b & 1 else p) << width for b, p in enumerate(planes)]
+        width <<= 1
+    planes = table.leaf_planes[key] = tuple(planes)
+    return planes
+
+
+def run(fam, v, args, phi_vec, view, table):
+    """One checked call of fam at vertex v on the view, on bit-planes.
+
+    Same result and counts as transforms._run on a batch of one.
+    """
+    data = view.buffer.data
+    m = table.field.degree
+    ex = _Planes(table, v, phi_vec, view.buffer.counter, to_planes(data[:view.length], m))
+    ex.run(fam, v, {args: 1}, 0)
+    data[:view.length] = from_planes(ex.planes, m, view.length)
+
+
+class _Planes:
+    """The planes of one call's view and the state its walk reads.
+
+    The walk runs in lockstep.  The groups of one phase of a split touch
+    disjoint entries, and so do their subtrees, so the child batches of
+    every batch of a vertex run together, phase by phase.  The batches of
+    one vertex are kept by their args, and those with equal args from
+    different parents share one mask; a leaf runs all of its batches with
+    one product.
+    """
+
+    __slots__ = ("table", "start", "phi_vec", "counter", "planes", "taps", "shifts")
+
+    def __init__(self, table, start, phi_vec, counter, planes):
+        self.table = table
+        self.start = start
+        self.phi_vec = phi_vec
+        self.counter = counter
+        self.planes = planes
+        modulus = table.field.modulus
+        self.taps = [t for t in range(table.field.degree) if modulus >> t & 1]
+        self.shifts = {}
+
+    def run(self, fam, v, batches, e):
+        """The calls of vertex v, {args: mask of start positions}, stride 2^e."""
+        tree = self.table.tree
+        if tree.alpha[v] < 0:
+            if fam.leaves is not None:
+                _LEAVES[fam.key](self, v, batches, 1 << e)
+                for args, mask in batches.items():
+                    adds, muls = fam.cost(args)
+                    span = mask.bit_count()
+                    self.counter.additions += adds * span
+                    self.counter.multiplications += muls * span
+            return
+        d = tree.size[tree.alpha[v]]
+        phased = []
+        for args, mask in batches.items():
+            phases = fam.split(d, *args)
+            n = (1 << tree.size[v]) if fam.full else args[0]
+            phased.append((mask, transforms._groups(
+                fam, v, reversed(phases) if fam.inverse else phases, n, tree)[0]))
+        if fam.leaves is None and fam.inverse:
+            self.xm_steps(v, batches, e, True)
+        for k in range(len(phased[0][1])):
+            stage = {}
+            for mask, phases in phased:
+                span = mask.bit_count()
+                for row, first, count, shifted, args in phases[k]:
+                    if row:
+                        child, step, ce = tree.alpha[v], 1 << e + d, e
+                        self.counter.additions += d * shifted * span
+                    else:
+                        child, step, ce = tree.delta[v], 1 << e, e + d
+                    batch = stage.setdefault((child, ce), {})
+                    batch[args] = batch.get(args, 0) | mask * _repunit(count, step) << step * first
+            for (child, ce), batch in stage.items():
+                self.run(fam, child, batch, ce)
+        if fam.leaves is None and not fam.inverse:
+            self.xm_steps(v, batches, e, False)
+
+    def xm_steps(self, v, batches, e, inverse):
+        """The Taylor steps and block scaling of x2m (after its children) or
+        m2x (before them), as in transforms._xm."""
+        table = self.table
+        w = 1 << table.tree.d_of(v)
+        step = (table.delta_head if inverse else table.delta_head_inv)(v)
+        for (ell,), mask in batches.items():
+            scale = ell > w and step != 1
+            if inverse:
+                self.taylor(w, ell, mask, e, True)
+            if scale:
+                self.scale(w, ell, step, mask, e)
+            if not inverse:
+                self.taylor(w, ell, mask, e, False)
+
+    def shifted_product(self, leaf, lanes, gap):
+        """shift(p) * entry p + gap at each lane p of the mask lanes, 0 elsewhere."""
+        shift = self.shifts.get(leaf)
+        if shift is None:
+            tree = self.table.tree
+            base = self.phi_vec[tree.leaf_start[leaf] - tree.leaf_start[self.start]]
+            lin = leaf_planes(self.table, self.start, leaf)
+            ones = (1 << (1 << tree.size[self.start])) - 1
+            shift = self.shifts[leaf] = [p ^ ones if base >> b & 1 else p
+                                         for b, p in enumerate(lin)]
+        return self.product(shift, lanes, gap)
+
+    def product(self, consts, lanes, gap=0):
+        """consts[p] * entry p + gap at each lane p of the mask lanes, 0
+        elsewhere; the schoolbook runs on the span of the lanes only."""
+        lo = (lanes & -lanes).bit_length() - 1
+        crop = lanes >> lo
+        z = _product([c >> lo for c in consts],
+                     [x >> lo + gap & crop for x in self.planes], self.taps)
+        return [x << lo for x in z]
+
+    def copy_up(self, lanes, gap, add):
+        """Entry p + gap becomes entry p (add: entry p + gap ^ entry p), p in lanes."""
+        if lanes:
+            x = self.planes
+            for b, plane in enumerate(x):
+                low = plane if add else plane ^ plane >> gap
+                x[b] = plane ^ (low & lanes) << gap
+
+    def add(self, z):
+        x = self.planes
+        for b, plane in enumerate(z):
+            x[b] ^= plane
+
+    def taylor(self, t, ell, mask, e, expand):
+        """transforms._taylor on every call of the batch.
+
+        Within a block, the targets r >= blk - half read sources past the
+        targets, and the rest read those.  Expanding reads the updated
+        sources, so it runs the upper targets first; the inverse reads the
+        old ones and runs them last.
+        """
+        s = 1 << e
+        x = self.planes
+        adds = 0
+        for blk, half, l1, l2 in transforms._taylor_levels(t, ell)[::-1 if expand else 1]:
+            tail = max(l2 - blk, 0)
+            blocks = _repunit(l1, 2 * blk * s)
+            split = blk - half
+            steps = []
+            for r0, r1 in ((split, blk), (0, split)):
+                # Targets r0 <= r < r1 of the full blocks and of the tail.
+                full = blocks * _repunit(r1 - r0, s) << s * (half + r0)
+                part = _repunit(max(min(r1, tail) - r0, 0), s) << s * (2 * blk * l1 + half + r0)
+                steps.append(mask * (full | part))
+            gap = s * split
+            for targets in (steps if expand else steps[::-1]):
+                for b, plane in enumerate(x):
+                    x[b] = plane ^ (plane >> gap & targets)
+            adds += blk * l1 + tail
+        self.counter.additions += adds * mask.bit_count()
+
+    def scale(self, w, ell, step, mask, e):
+        """transforms._scale_blocks: block i of each call times step^i, as one
+        product with constant planes."""
+        s = 1 << e
+        mul = self.table.field.mul
+        powers = [0, step]
+        for _ in range(2, -(-ell // w)):
+            powers.append(mul(powers[-1], step))
+        # Bit i of a power plane belongs to block i; spread it to position
+        # s*w*i and fill the block.
+        fill = _repunit(w, s)
+        lanes = _repunit(ell - w, s) << s * w
+        gaps = "0" * (s * w - 1)
+        consts = [mask * (int(gaps.join(format(p, "b")), 2) * fill & lanes)
+                  for p in to_planes(powers, len(self.planes))]
+        lanes *= mask
+        x = self.planes
+        z = self.product(consts, lanes)
+        for b, plane in enumerate(x):
+            x[b] = plane ^ (plane & lanes) ^ z[b]
+        self.counter.multiplications += (ell - w + len(powers) - 2) * mask.bit_count()
+
+
+# A leaf kernel runs every batch of a leaf, {args: lanes}, with one product
+# over the lanes that need it; the batches touch disjoint entries.
+
+
+def _graded_leaves(ex, leaf, batches, gap):
+    lanes = batches.get((2,), 0)
+    if lanes:
+        ex.add(ex.shifted_product(leaf, lanes, gap))
+
+
+def _l2x_leaves(ex, leaf, batches, gap):
+    first = known = plain = copy = 0
+    for (c, ell, b), lanes in batches.items():
+        if c == 2:
+            first |= lanes
+        elif ell == 2 and c == b == 1:
+            known |= lanes
+        elif ell == 2:
+            plain |= lanes
+        elif c == b == 1:
+            copy |= lanes
+    # c = 2 adds entry p into p + gap before the product reads it; the
+    # known-value case adds it after.
+    ex.copy_up(first, gap, True)
+    if first | known | plain:
+        z = ex.shifted_product(leaf, first | known | plain, gap)
+        ex.copy_up(known, gap, True)
+        ex.add(z)
+    ex.copy_up(copy, gap, False)
+
+
+def _x2l_leaves(ex, leaf, batches, gap):
+    prod = both = copy = 0
+    for (c, ell), lanes in batches.items():
+        if ell == 2:
+            prod |= lanes
+            if c == 2:
+                both |= lanes
+        elif c == 2:
+            copy |= lanes
+    if prod:
+        ex.add(ex.shifted_product(leaf, prod, gap))
+    ex.copy_up(both, gap, True)
+    ex.copy_up(copy, gap, False)
+
+
+# The leaf kernels of transforms' families, by family key, on planes.
+_LEAVES = {"n2x": _graded_leaves, "l2x": _l2x_leaves, "x2l": _x2l_leaves}

@@ -281,10 +281,16 @@ def cmd_construct(args):
 
 def cmd_trees(args):
     if args.tree is None:
+        given = [f"--{name}" for name in ("field", "basis", "n")
+                 if getattr(args, name) is not None]
+        if given:
+            raise ValueError(f"trees without --strategy does not read {', '.join(given)}")
         emit(list(STRATEGY_FORMS), args.out)
         return 0
     if args.field is None or args.n is None:
         raise ValueError("validating a strategy requires --field and --n")
+    if args.basis is None:
+        args.basis = "cantor"
     cfg = config_from_args(args)
     field, beta, tree = field_basis_tree(cfg)
     ok = validate(field, tree, beta)
@@ -405,7 +411,7 @@ def build_parser():
     sp = sub.add_parser("trees", help="list strategies, or validate one")
     sp.add_argument("--strategy", dest="tree", metavar="STRATEGY", default=None)
     sp.add_argument("--field", default=None)
-    sp.add_argument("--basis", default="cantor")
+    sp.add_argument("--basis", default=None)
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_trees)

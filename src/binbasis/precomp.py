@@ -45,7 +45,7 @@ def phi(field, tree, bases, v, u, lam):
 
 
 class PrecompTable:
-    """Immutable per-tree tables consumed by the basis transforms.
+    """Per-tree tables consumed by the basis transforms.
 
     Attributes, all indexed by preorder vertex id:
       bases      basis beta_v at each vertex
@@ -53,10 +53,14 @@ class PrecompTable:
       head_inv   1/beta_{v,0}
       sigma      sigma_{v,i} = beta_{v,d} + ... + beta_{v,d+i}, () at leaves
       phi_alpha  phi_alpha[v][r][i] = phi_v(leaf r of the alpha child, sigma_{v,i})
+
+    Only leaf_planes changes after construction: it starts empty, and the
+    bit-plane executor adds the lam-free shift planes of each (start
+    vertex, leaf) it runs.  A table used only for counts never fills it.
     """
 
     __slots__ = ("field", "tree", "beta", "bases", "head", "head_inv",
-                 "sigma", "phi_alpha")
+                 "sigma", "phi_alpha", "leaf_planes")
 
     def __init__(self, field, tree, beta, bases, sigma, phi_alpha):
         self.field = field
@@ -67,6 +71,7 @@ class PrecompTable:
         self.head_inv = tuple(field.inv(h) for h in self.head)
         self.sigma = sigma
         self.phi_alpha = phi_alpha
+        self.leaf_planes = {}
 
     def delta_head(self, v):
         """beta_{v_delta,0} for an internal vertex v."""

@@ -6,11 +6,21 @@ basis X_i built from products of the Newton polynomials at power-of-two
 indices.  Each conversion walks the reduction tree, viewing the coefficient
 vector as a 2^(n_v - d_v) x 2^d_v matrix at vertex v and recursing on full
 rows and strided columns.  The public executors take a view of a buffer's
-first entries and check it; below them the recursion runs breadth-first in
-batches, one pass per split group over every call of a vertex with the same
-arguments.  Every field addition and multiplication performed on buffer
-data, or on the shift vector mu, increments the buffer's counter;
-everything precomputed is excluded.
+first entries and check its geometry, its entries and the shift vector;
+below them the recursion runs breadth-first in batches, one pass per split
+group over every call of a vertex with the same arguments.  Every field
+addition and multiplication performed on buffer data, or on the shift
+vector mu, increments the buffer's counter; everything precomputed is
+excluded.
+
+A call runs in one of two layouts, chosen by the size of its vertex.
+Below 2^9 entries the scalar executor here keeps the entries in the
+buffer's list, a batch as a list of offsets with one shift vector per
+call, and multiplies entry by entry.  From 2^9 entries up, bitslice holds
+the view as m bit-planes, a batch as a mask of start positions, and the
+leaf shifts as lam-free planes kept by the table; it walks the same splits
+and charges the same counts.  The scalar executor is the reference the
+tests hold the bit-plane one to.
 
 Each transform is described once, by a family record: its split, its leaf
 kernel and that kernel's cost, its scratch and phase order, and how
@@ -305,22 +315,23 @@ def _run(fam, v, args, offs, s, phis, buf, table):
               (1 << tree.size[v]) if fam.full else args[0], offs, s, phis, buf, table)
 
 
-def _walk(fam, v, phases, n, offs, s, phis, buf, table):
-    """Child batches of internal vertex v over the given phases of its split.
+def _groups(fam, v, phases, n, tree):
+    """Child groups of internal vertex v, phase by phase, and the number of
+    rows they span.
 
-    Every group is checked against the instances' view length n before the
-    first write.  Children of l2x and x2l see their whole 2^n scratch, the
-    others their ell entries.
+    Every group is checked against the instances' view length n before any
+    is run.  Children of l2x and x2l see their whole 2^n scratch, the
+    others their ell entries.  Each group is (row, first, count, shifted,
+    args), where shifted counts the rows that charge an advance.
     """
-    tree = table.tree
-    va, vd = tree.alpha[v], tree.delta[v]
-    d = tree.size[va]
-    w = 1 << d
-    height = 1 << tree.size[vd]
+    va = tree.alpha[v]
+    w = 1 << tree.size[va]
+    height = 1 << tree.size[tree.delta[v]]
     leaves, full = fam.leaves, fam.full
-    groups = []
+    out = []
     rows = 0
     for phase in phases:
+        groups = []
         for row, first, count, shift, args in phase:
             # Calls of x2m and m2x of length 2 or less do nothing.
             if not count or not (leaves or args[0] > 2):
@@ -332,35 +343,60 @@ def _walk(fam, v, phases, n, offs, s, phis, buf, table):
                 last = first + count + w * ((height if full else args[0]) - 1)
             if first < 0 or last > n:
                 raise ValueError("child group exceeds parent view")
-            # Neighbouring groups with one argument tuple run as one batch;
-            # shifted counts the rows that charge an advance.
-            shifted = count if shift else 0
+            # Neighbouring groups with one argument tuple run as one batch.
+            shifted = count if shift and leaves else 0
             prev = groups[-1] if groups else None
             if (prev and prev[0] == row and prev[4] == args
                     and prev[1] + prev[2] == first):
                 groups[-1] = (row, prev[1], prev[2] + count, prev[3] + shifted, args)
             else:
                 groups.append((row, first, count, shifted, args))
+        out.append(groups)
+    return out, rows
+
+
+def _walk(fam, v, phases, n, offs, s, phis, buf, table):
+    """Child batches of internal vertex v over the given phases of its split."""
+    tree = table.tree
+    va, vd = tree.alpha[v], tree.delta[v]
+    d = tree.size[va]
+    w = 1 << d
+    phased, rows = _groups(fam, v, phases, n, tree)
     if phis is not None and rows:
         row_phis = _row_shifts(table.phi_alpha[v], phis, rows)
     span = len(offs)
-    for row, first, count, shifted, args in groups:
-        if row:
-            child, step, cs = va, s * w, s
-            cphis = None
-            if phis is not None:
-                cphis = [c[span * first:span * (first + count)] for c in row_phis]
-                buf.counter.additions += d * shifted * span
-        else:
-            child, step, cs = vd, s, s * w
-            cphis = None if phis is None else [nu * count for nu in phis[d:]]
-        starts = range(step * first, step * (first + count), step)
-        coffs = [o + k for k in starts for o in offs]
-        _run(fam, child, args, coffs, cs, cphis, buf, table)
+    for groups in phased:
+        for row, first, count, shifted, args in groups:
+            if row:
+                child, step, cs = va, s * w, s
+                cphis = None
+                if phis is not None:
+                    cphis = [c[span * first:span * (first + count)] for c in row_phis]
+                    buf.counter.additions += d * shifted * span
+            else:
+                child, step, cs = vd, s, s * w
+                cphis = None if phis is None else [nu * count for nu in phis[d:]]
+            starts = range(step * first, step * (first + count), step)
+            coffs = [o + k for k in starts for o in offs]
+            _run(fam, child, args, coffs, cs, cphis, buf, table)
+
+
+def _check_field(field, values, what):
+    """Raise ValueError unless every value is an element of the field."""
+    if values and (min(values) < 0 or max(values) >= field.order):
+        raise ValueError(f"{what} outside GF(2^{field.degree})")
+
+
+# Calls at vertices with 2^n_v >= 512 entries run on bit-planes (bitslice).
+# That is where the two layouts break even on GF(2^16) Cantor trees; below
+# it planes lose, at about half the scalar speed for n_v = 8 and a tenth
+# for n_v = 3.
+_PLANES_MIN_DIM = 9
 
 
 def _start(fam, v, c, ell, b, phi_vec, view, table):
-    """Check one call on a view, run it as a batch of one; returns its args.
+    """Check one call on a view and run it, on bit-planes at large vertices
+    and as a scalar batch of one below; returns its args.
 
     x2m and m2x ignore phi_vec.
     """
@@ -369,12 +405,19 @@ def _start(fam, v, c, ell, b, phi_vec, view, table):
     want = (1 << nv) if fam.full else ell
     if view.length != want:
         raise ValueError(f"view length {view.length}, expected {want}")
-    phis = None
+    _check_field(table.field, view.buffer.data[:want], "data entry")
     if fam.leaves is not None:
         if len(phi_vec) != nv:
             raise ValueError(f"phi vector length {len(phi_vec)}, expected {nv}")
-        phis = list(zip(phi_vec))
-    _run(fam, v, args, [0], 1, phis, view.buffer, table)
+        _check_field(table.field, phi_vec, "shift")
+    if nv >= _PLANES_MIN_DIM:
+        # Imported on first use: processes that only run small calls, such
+        # as count sweeps and the CLI at small n, never compile it.
+        from binbasis import bitslice
+        bitslice.run(fam, v, args, phi_vec, view, table)
+    else:
+        phis = None if fam.leaves is None else list(zip(phi_vec))
+        _run(fam, v, args, [0], 1, phis, view.buffer, table)
     return args
 
 
@@ -603,8 +646,7 @@ def convert(field, kind_from, kind_to, beta, tree, lam, ell, coeffs, table):
     coeffs = list(coeffs)
     if len(coeffs) != ell:
         raise ValueError(f"expected {ell} coefficients, got {len(coeffs)}")
-    if min(coeffs) < 0 or max(coeffs) >= field.order:
-        raise ValueError(f"coefficient outside GF(2^{field.degree})")
+    _check_field(field, coeffs, "coefficient")
     if not 0 <= lam < field.order:
         raise ValueError(f"lam {lam} outside GF(2^{field.degree})")
     counter = OpCounter()

@@ -1,0 +1,167 @@
+"""The bit-plane executor against the scalar one: outputs, counts, shifts."""
+
+import random
+
+import pytest
+
+from binbasis import bitslice, transforms
+from binbasis.cli import build_basis, build_tree
+from binbasis.field import get_field
+from binbasis.precomp import build_tables, initial_phi_vector
+from binbasis.transforms import (
+    CoeffBuffer,
+    CountModel,
+    _FAMILIES,
+    _PLANES_MIN_DIM,
+    _args,
+    _run,
+    run_transform,
+)
+
+# (degree, basis, tree, n) per configuration; Cantor and gencantor:2 bases
+# over GF(2^12) stop at n = 4.
+CONFIGS = [
+    (12, "cantor", "cantor", 4),
+    (12, "random:3", "trivial", 5),
+    (12, "gencantor:2", "graft:2", 4),
+    (16, "cantor", "cantor", 5),
+    (16, "random:4", "trivial", 5),
+    (16, "gencantor:2", "graft:2", 5),
+    (32, "cantor", "cantor", 5),
+    (32, "random:5", "trivial", 5),
+    (32, "gencantor:2", "graft:2", 5),
+]
+
+
+def make_table(degree, basis, tree, n):
+    field = get_field(degree)
+    return build_tables(field, build_tree(tree, n), build_basis(field, basis, n))
+
+
+def calls(table, v, size):
+    """(name, c, ell, b) of every call at a 2^n-entry vertex: the graded
+    transforms at every ell, l2x at every (c, b) and x2l at every c."""
+    for ell in range(1, size + 1):
+        for name in ("n2x", "x2n", "x2m", "m2x"):
+            yield name, ell, ell, 0
+        for c in range(ell + 1):
+            for b in (0, 1):
+                if 1 <= b + c <= size:
+                    yield "l2x", c, ell, b
+        for c in range(1, size + 1):
+            yield "x2l", c, ell, 0
+
+
+def execute(table, name, v, phi_vec, c, ell, b, data, planes):
+    """One call on a copy of data, forced onto bit-planes or not; returns
+    (buffer entries, counter totals)."""
+    fam = _FAMILIES[name]
+    nv = table.tree.size[v]
+    args = _args(fam, nv, c, ell, b)
+    length = (1 << nv) if fam.full else ell
+    buf = CoeffBuffer(list(data) + [0] * (length - len(data)))
+    if planes:
+        bitslice.run(fam, v, args, phi_vec, buf.view(), table)
+    else:
+        phis = None if fam.leaves is None else list(zip(phi_vec))
+        _run(fam, v, args, [0], 1, phis, buf, table)
+    return buf.data, buf.counter.totals()
+
+
+def shift_vectors(table, v, rng):
+    """phi_vec of vertex v for lam = 0, 1 and a random lam."""
+    tree, field = table.tree, table.field
+    lo = tree.leaf_start[v]
+    for lam in (0, 1, rng.randrange(2, field.order)):
+        yield initial_phi_vector(field, tree, table.bases, lam)[lo:lo + tree.size[v]]
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=["-".join(map(str, c)) for c in CONFIGS])
+def test_planes_match_scalar(config):
+    # Every internal vertex, every call shape; the shift vector cycles
+    # through lam = 0, 1 and a random lam from call to call.
+    table = make_table(*config)
+    tree, field = table.tree, table.field
+    rng = random.Random(str(config))
+    mismatches = []
+    for v in tree.internal_vertices():
+        phis = list(shift_vectors(table, v, rng))
+        for i, (name, c, ell, b) in enumerate(calls(table, v, 1 << tree.size[v])):
+            phi_vec = phis[i % 3]
+            data = [rng.randrange(field.order) for _ in range(ell)]
+            want = execute(table, name, v, phi_vec, c, ell, b, data, False)
+            got = execute(table, name, v, phi_vec, c, ell, b, data, True)
+            if got != want:
+                mismatches.append((v, name, c, ell, b, i % 3))
+    assert not mismatches, mismatches[:5]
+
+
+@pytest.mark.parametrize("config", CONFIGS[3:6], ids=["-".join(map(str, c)) for c in CONFIGS[3:6]])
+def test_leaf_planes_equal_scalar_shifts(config, monkeypatch):
+    # The scalar executor carries each leaf call's shift explicitly; the
+    # table's lam-free planes plus the call's base must reproduce it at
+    # every leaf position, from the root and from a non-root vertex.
+    table = make_table(*config)
+    tree, field = table.tree, table.field
+    seen = []
+
+    def recording_run(fam, v, args, offs, s, phis, buf, table_):
+        if tree.alpha[v] < 0 and phis is not None:
+            seen.append((v, list(offs), list(phis[0])))
+        return run(fam, v, args, offs, s, phis, buf, table_)
+
+    run = transforms._run
+    monkeypatch.setattr(transforms, "_run", recording_run)
+    rng = random.Random(7)
+    for v in (0, tree.alpha[0], tree.delta[0]):
+        nv = tree.size[v]
+        if nv < 2:
+            continue
+        for phi_vec in shift_vectors(table, v, rng):
+            seen.clear()
+            execute(table, "l2x", v, phi_vec, 1 << nv, 1 << nv, 0, [1] * (1 << nv), False)
+            assert seen
+            for leaf, offs, phs in seen:
+                planes = bitslice.leaf_planes(table, v, leaf)
+                base = phi_vec[tree.leaf_start[leaf] - tree.leaf_start[v]]
+                for p, ph in zip(offs, phs):
+                    lin = sum((plane >> p & 1) << bit for bit, plane in enumerate(planes))
+                    assert base ^ lin == ph, (v, leaf, p)
+            assert len({leaf for leaf, _, _ in seen}) == nv
+    assert all(len(planes) == field.degree for planes in table.leaf_planes.values())
+
+
+@pytest.mark.parametrize("m", range(1, 33))
+def test_layout_round_trip(m):
+    rng = random.Random(m)
+    top = (1 << m) - 1
+    for count in (1, 2, 9, 64, 515):
+        values = [rng.randrange(top + 1) for _ in range(count)]
+        values[rng.randrange(count)] = top
+        values[0] = top if count == 1 else 0
+        planes = bitslice.to_planes(values, m)
+        assert len(planes) == m
+        for b, plane in enumerate(planes):
+            assert plane == sum((x >> b & 1) << p for p, x in enumerate(values))
+        assert bitslice.from_planes(planes, m, count) == values
+
+
+@pytest.mark.parametrize("n", [_PLANES_MIN_DIM - 1, _PLANES_MIN_DIM])
+def test_size_dispatch(n):
+    # Calls at 2^n_v >= 512 entries run on planes, smaller ones do not;
+    # both give the scalar executor's outputs and CountModel's counts.
+    table = make_table(16, "cantor", "cantor", n)
+    field, size = table.field, 1 << n
+    model = CountModel(table)
+    rng = random.Random(n)
+    phi_vec = initial_phi_vector(field, table.tree, table.bases, rng.randrange(field.order))
+    half = size // 2 + 45
+    for name, c, ell, b in (("n2x", size, size, 0), ("x2n", half, half, 0),
+                            ("l2x", half, size - 3, 1), ("x2l", size, half, 0),
+                            ("x2m", size - 5, size - 5, 0), ("m2x", size, size, 0)):
+        data = [rng.randrange(field.order) for _ in range(ell)]
+        out, ctr = run_transform(name, 0, phi_vec, c, ell, b, data, table)
+        want, totals = execute(table, name, 0, phi_vec, c, ell, b, data, False)
+        assert out == want[:len(out)]
+        assert ctr.totals() == totals == model.transform(name, 0, c, ell, b)
+    assert bool(table.leaf_planes) == (n >= _PLANES_MIN_DIM)

@@ -312,3 +312,14 @@ def test_out_to_missing_directory_is_one_error_line(tmp_path, capsys, argv):
     assert code == 1 and out == ""
     assert err.startswith("ERROR: ") and err.count("\n") == 1
     assert not target.exists()
+
+
+@pytest.mark.parametrize("extra, flags", [
+    (("--field", "99", "--n", "77", "--basis", "mystery"), "--field, --basis, --n"),
+    (("--n", "4"), "--n"),
+    (("--basis", "cantor"), "--basis"),
+])
+def test_trees_listing_rejects_flags_it_does_not_read(capsys, extra, flags):
+    code, out, err = run(capsys, "trees", *extra)
+    assert code == 1 and out == ""
+    assert err == f"ERROR: trees without --strategy does not read {flags}\n"

@@ -42,6 +42,7 @@ from binbasis.transforms import (
     m2x,
     n2x,
     ruler_delta,
+    run_transform,
     scale_by_powers,
     taylor_expand,
     taylor_inverse,
@@ -473,6 +474,33 @@ def test_convert_rejects_elements_outside_field():
         with pytest.raises(ValueError):
             convert(GF8, "newton", "lagrange", table.beta, table.tree, lam, 4,
                     [0, 1, 2, 3], table)
+
+
+@pytest.mark.parametrize("n", [3, 9])
+def test_executors_reject_elements_outside_field(n):
+    # One check serves the scalar executor (n = 3) and the bit-plane one
+    # (n = 9), which would otherwise drop the bits above m silently.
+    table = build_tables(GF12, build_trivial(n), valid_random_basis(GF12, n, 9))
+    size = 1 << n
+    good = [1] * n
+    for bad in (5000, 1 << 12, -1):
+        data = [7] * size
+        data[size // 2] = bad
+        for name in ("n2x", "x2n", "l2x", "x2l", "x2m", "m2x"):
+            with pytest.raises(ValueError, match="data entry outside GF"):
+                run_transform(name, 0, good, size, size, 0, data, table)
+        for name in ("n2x", "x2n", "l2x", "x2l"):
+            phi = good[:-1] + [bad]
+            with pytest.raises(ValueError, match="shift outside GF"):
+                run_transform(name, 0, phi, size, size, 0, [7] * size, table)
+        buf = CoeffBuffer(data)
+        with pytest.raises(ValueError, match="data entry outside GF"):
+            n2x(0, good, size, buf.view(), table)
+        with pytest.raises(ValueError, match="shift outside GF"):
+            l2x(0, good[:-1] + [bad], size, size, 0, CoeffBuffer([7] * size).view(), table)
+        with pytest.raises(ValueError, match="data entry outside GF"):
+            m2x(0, size, buf.view(), table)
+        assert buf.data == data
 
 
 def test_convert_twist_counter():
