@@ -1,23 +1,19 @@
-"""Bit-plane executor for the six transforms, in the McBits layout.
+"""Bit-plane kernels for the transforms, in the McBits layout.
 
 A view of N entries of GF(2^m) is held as m bit-planes: plane b is one
-Python int whose bit p is bit b of entry p.  A batch of calls of one vertex
-is a mask whose bits are the calls' start positions, plus one stride 2^e
-shared by the calls; the child batch of a split group is the parent mask
-times the repunit over the group's row (or column) starts.  A level of
-butterflies then costs a fixed number of shifts, masks and XORs per plane,
-whatever the batch size, and a lane-wise product is an m x m AND/XOR
-schoolbook on planes reduced by the modulus taps.
+Python int whose bit p is bit b of entry p.  transforms._walk runs the
+splits and hands each batch, a mask of start positions at one stride, to
+the kernels here.  A level of butterflies then costs a fixed number of
+shifts, masks and XORs per plane, whatever the batch size, and a lane-wise
+product is an m x m AND/XOR schoolbook on planes reduced by the modulus
+taps.  A leaf runs all of its batches with one product, and a Taylor level
+is two masked shift-XOR steps.
 
-No shift vectors are carried.  The shift of a leaf call at position p is
-phi_vec[L] ^ lin_L(p) for its leaf L, where lin_L is GF(2)-linear in the
-bits of p: row i of an alpha child advances by the sum over the bits k of
-i of sh[k] ^ sh[k-1], sh = phi_alpha[v][r] and sh[-1] = 0.  The m planes of
-lin_L depend on the table and the start vertex only, so the table keeps
-them; a call adds its own base.
-
-The walk reuses the family records and group checks of transforms and
-charges the same counts as the scalar executor there, which stays the
+The shift of a leaf call at position p is phi_vec[L] ^ lin_L(p) for its
+leaf L, with lin_L GF(2)-linear in the bits of p (transforms._lin_columns).
+The m planes of lin_L depend on the table and the start vertex only, so the
+table keeps them; a call adds its own base.  The scalar layout in
+transforms runs the same walk and charges the same counts, and stays the
 reference.
 """
 
@@ -26,11 +22,10 @@ from array import array
 from functools import reduce
 from operator import and_, xor
 
-from binbasis import transforms
+from binbasis.transforms import _BITS, _lin_columns, _repunit, _taylor_levels, _walk
 
 # _CHARS[j] maps a byte to ASCII '1' where its bit j is set, else '0'.
 _CHARS = tuple(bytes(48 + (x >> j & 1) for x in range(256)) for j in range(8))
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _typecode(m):
@@ -66,11 +61,6 @@ def from_planes(planes, m, count):
     return out.tolist()
 
 
-def _repunit(count, step):
-    """Sum of 2^(step*i) for i < count."""
-    return ((1 << step * count) - 1) // ((1 << step) - 1)
-
-
 # _TERMS[m][k] slices the factors of the degree-k terms of an m x m
 # schoolbook: a[i0:i1] pairs with the reversed b[j0:j1].
 _TERMS = tuple(tuple((max(k - m + 1, 0), k + 1, max(m - 1 - k, 0), 2 * m - 1 - k)
@@ -90,64 +80,32 @@ def _product(a, b, taps):
 
 
 def leaf_planes(table, v, leaf):
-    """The m planes of lin_leaf over the 2^n_v positions of a call at v.
-
-    Built once per (v, leaf) and kept by the table.
-    """
+    """The m planes of lin_leaf over the 2^n_v positions of a call at v; built
+    once per (v, leaf) from transforms._lin_columns and kept by the table."""
     key = (v, leaf)
     planes = table.leaf_planes.get(key)
-    if planes is not None:
-        return planes
-    tree = table.tree
-    target = tree.leaf_start[leaf]
-    # cols[t] is lin_leaf of the position 2^t.  At a vertex u whose calls
-    # have stride 2^e, row bit k of the matrix view is position bit e + d + k.
-    cols = [0] * tree.size[v]
-    e, u = 0, v
-    while u != leaf:
-        a = tree.alpha[u]
-        d = tree.size[a]
-        if target < tree.leaf_start[a] + d:
-            prev = 0
-            for k, sh in enumerate(table.phi_alpha[u][target - tree.leaf_start[a]]):
-                cols[e + d + k] ^= sh ^ prev
-                prev = sh
-            u = a
-        else:
-            e += d
-            u = tree.delta[u]
-    planes = [0] * table.field.degree
-    width = 1
-    for col in cols:
-        ones = (1 << width) - 1
-        planes = [p | (p ^ ones if col >> b & 1 else p) << width for b, p in enumerate(planes)]
-        width <<= 1
-    planes = table.leaf_planes[key] = tuple(planes)
+    if planes is None:
+        planes, width = [0] * table.field.degree, 1
+        for col in _lin_columns(table, v, leaf):
+            ones = (1 << width) - 1
+            planes = [p | (p ^ ones if col >> b & 1 else p) << width for b, p in enumerate(planes)]
+            width <<= 1
+        table.leaf_planes[key] = planes
     return planes
 
 
 def run(fam, v, args, phi_vec, view, table):
-    """One checked call of fam at vertex v on the view, on bit-planes.
-
-    Same result and counts as transforms._run on a batch of one.
-    """
+    """One call of fam at vertex v on the view, on bit-planes."""
     data = view.buffer.data
     m = table.field.degree
-    ex = _Planes(table, v, phi_vec, view.buffer.counter, to_planes(data[:view.length], m))
-    ex.run(fam, v, {args: 1}, 0)
-    data[:view.length] = from_planes(ex.planes, m, view.length)
+    lay = _Planes(table, v, phi_vec, view.buffer.counter, to_planes(data[:view.length], m))
+    _walk(lay, fam, v, {args: 1}, 0)
+    data[:view.length] = from_planes(lay.planes, m, view.length)
 
 
 class _Planes:
-    """The planes of one call's view and the state its walk reads.
-
-    The walk runs in lockstep.  The groups of one phase of a split touch
-    disjoint entries, and so do their subtrees, so the child batches of
-    every batch of a vertex run together, phase by phase.  The batches of
-    one vertex are kept by their args, and those with equal args from
-    different parents share one mask; a leaf runs all of its batches with
-    one product.
-    """
+    """The bit-plane layout of transforms._walk: the planes of one call's
+    view, and its kernels on them."""
 
     __slots__ = ("table", "start", "phi_vec", "counter", "planes", "taps", "shifts")
 
@@ -161,58 +119,8 @@ class _Planes:
         self.taps = [t for t in range(table.field.degree) if modulus >> t & 1]
         self.shifts = {}
 
-    def run(self, fam, v, batches, e):
-        """The calls of vertex v, {args: mask of start positions}, stride 2^e."""
-        tree = self.table.tree
-        if tree.alpha[v] < 0:
-            if fam.leaves is not None:
-                _LEAVES[fam.key](self, v, batches, 1 << e)
-                for args, mask in batches.items():
-                    adds, muls = fam.cost(args)
-                    span = mask.bit_count()
-                    self.counter.additions += adds * span
-                    self.counter.multiplications += muls * span
-            return
-        d = tree.size[tree.alpha[v]]
-        phased = []
-        for args, mask in batches.items():
-            phases = fam.split(d, *args)
-            n = (1 << tree.size[v]) if fam.full else args[0]
-            phased.append((mask, transforms._groups(
-                fam, v, reversed(phases) if fam.inverse else phases, n, tree)[0]))
-        if fam.leaves is None and fam.inverse:
-            self.xm_steps(v, batches, e, True)
-        for k in range(len(phased[0][1])):
-            stage = {}
-            for mask, phases in phased:
-                span = mask.bit_count()
-                for row, first, count, shifted, args in phases[k]:
-                    if row:
-                        child, step, ce = tree.alpha[v], 1 << e + d, e
-                        self.counter.additions += d * shifted * span
-                    else:
-                        child, step, ce = tree.delta[v], 1 << e, e + d
-                    batch = stage.setdefault((child, ce), {})
-                    batch[args] = batch.get(args, 0) | mask * _repunit(count, step) << step * first
-            for (child, ce), batch in stage.items():
-                self.run(fam, child, batch, ce)
-        if fam.leaves is None and not fam.inverse:
-            self.xm_steps(v, batches, e, False)
-
-    def xm_steps(self, v, batches, e, inverse):
-        """The Taylor steps and block scaling of x2m (after its children) or
-        m2x (before them), as in transforms._xm."""
-        table = self.table
-        w = 1 << table.tree.d_of(v)
-        step = (table.delta_head if inverse else table.delta_head_inv)(v)
-        for (ell,), mask in batches.items():
-            scale = ell > w and step != 1
-            if inverse:
-                self.taylor(w, ell, mask, e, True)
-            if scale:
-                self.scale(w, ell, step, mask, e)
-            if not inverse:
-                self.taylor(w, ell, mask, e, False)
+    def leaves(self, fam, leaf, batches, gap):
+        _LEAVES[fam.key](self, leaf, batches, gap)
 
     def shifted_product(self, leaf, lanes, gap):
         """shift(p) * entry p + gap at each lane p of the mask lanes, 0 elsewhere."""
@@ -259,7 +167,7 @@ class _Planes:
         s = 1 << e
         x = self.planes
         adds = 0
-        for blk, half, l1, l2 in transforms._taylor_levels(t, ell)[::-1 if expand else 1]:
+        for blk, half, l1, l2 in _taylor_levels(t, ell)[::-1 if expand else 1]:
             tail = max(l2 - blk, 0)
             blocks = _repunit(l1, 2 * blk * s)
             split = blk - half

@@ -54,13 +54,14 @@ class PrecompTable:
       sigma      sigma_{v,i} = beta_{v,d} + ... + beta_{v,d+i}, () at leaves
       phi_alpha  phi_alpha[v][r][i] = phi_v(leaf r of the alpha child, sigma_{v,i})
 
-    Only leaf_planes changes after construction: it starts empty, and the
-    bit-plane executor adds the lam-free shift planes of each (start
-    vertex, leaf) it runs.  A table used only for counts never fills it.
+    Only leaf_lin and leaf_planes change after construction: they start
+    empty, and the executors add the lam-free leaf shifts of each (start
+    vertex, leaf) they run, as values in the scalar layout and as bit-planes
+    in the other.  A table used only for counts never fills them.
     """
 
     __slots__ = ("field", "tree", "beta", "bases", "head", "head_inv",
-                 "sigma", "phi_alpha", "leaf_planes")
+                 "sigma", "phi_alpha", "leaf_lin", "leaf_planes")
 
     def __init__(self, field, tree, beta, bases, sigma, phi_alpha):
         self.field = field
@@ -71,6 +72,7 @@ class PrecompTable:
         self.head_inv = tuple(field.inv(h) for h in self.head)
         self.sigma = sigma
         self.phi_alpha = phi_alpha
+        self.leaf_lin = {}
         self.leaf_planes = {}
 
     def delta_head(self, v):

@@ -6,21 +6,19 @@ basis X_i built from products of the Newton polynomials at power-of-two
 indices.  Each conversion walks the reduction tree, viewing the coefficient
 vector as a 2^(n_v - d_v) x 2^d_v matrix at vertex v and recursing on full
 rows and strided columns.  The public executors take a view of a buffer's
-first entries and check its geometry, its entries and the shift vector;
-below them the recursion runs breadth-first in batches, one pass per split
-group over every call of a vertex with the same arguments.  Every field
-addition and multiplication performed on buffer data, or on the shift
-vector mu, increments the buffer's counter; everything precomputed is
+first entries and check its geometry, its entries and the shift vector.
+Every field addition and multiplication performed on buffer data, or on the
+shift vector mu, increments the buffer's counter; everything precomputed is
 excluded.
 
-A call runs in one of two layouts, chosen by the size of its vertex.
-Below 2^9 entries the scalar executor here keeps the entries in the
-buffer's list, a batch as a list of offsets with one shift vector per
-call, and multiplies entry by entry.  From 2^9 entries up, bitslice holds
-the view as m bit-planes, a batch as a mask of start positions, and the
-leaf shifts as lam-free planes kept by the table; it walks the same splits
-and charges the same counts.  The scalar executor is the reference the
-tests hold the bit-plane one to.
+One walk, _walk, runs every transform breadth-first in batches, one pass
+per split group over every call of a vertex with the same arguments, and
+hands the leaf, Taylor and scaling steps to a kernel layout chosen by the
+size of the called vertex.  Below 2^9 entries _Scalar keeps the entries in
+the buffer's list and multiplies entry by entry; from 2^9 up bitslice holds
+them as m bit-planes.  In both, a batch is a mask of start positions and a
+leaf call's shift is its base plus a lam-free value that the table keeps.
+The scalar kernels are the reference the tests hold the bit-plane ones to.
 
 Each transform is described once, by a family record: its split, its leaf
 kernel and that kernel's cost, its scratch and phase order, and how
@@ -34,6 +32,7 @@ over every ell are cheap even where execution would not be.
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import compress
 
 from binbasis.precomp import initial_phi_vector
 
@@ -159,33 +158,10 @@ def x2l_split(d, c, ell):
             ((True, 0, c1, True, (w, l2p)), (True, c1, 1, False, (c - w * c1, l2p))))
 
 
-# A batch is every call of one vertex with one argument tuple.  Its
-# instances share one stride s and start at the buffer indices offs; for the
-# shifted families phis[r][j] is component r of instance j's shift vector,
-# and it is None for x2m and m2x.  Each group of a split runs once for the
-# whole batch: its child batch holds one instance per row (or column) and
-# parent instance, row outer and instance inner, and a shifted row group
-# charges its d additions per row and instance.
-
-
-def _row_shifts(shifts, phis, rows):
-    """Alpha shift vectors of rows 0..rows-1 of every instance, component-major
-    and row outer: row i carries the vector advanced i times (see the split)."""
-    out = []
-    for row, sh in zip(phis, shifts):
-        col = list(row)
-        for i in range(rows - 1):
-            a = sh[((i + 1) & ~i).bit_length() - 1]
-            row = [x ^ a for x in row]
-            col += row
-        out.append(col)
-    return out
-
-
-# A leaf kernel runs every call of a leaf in a batch: call j reads its
-# entries 0 and 1 at buffer indices offs[j] and offs[j] + gap and runs at
-# leaf shift phs[j].  Its cost function prices one call as (additions,
-# multiplications), and _run charges that once per call.
+# A scalar leaf kernel runs every call of a leaf in a batch: call j reads
+# its entries 0 and 1 at buffer indices offs[j] and offs[j] + gap and runs
+# at leaf shift phs[j].  Its cost function prices one call as (additions,
+# multiplications), and _walk charges that once per call.
 
 
 def _graded_leaves(buf, mul, offs, gap, phs, args):
@@ -298,87 +274,188 @@ def _args(fam, nv, c, ell, b):
     return fam.pack(nv, c, ell, b)
 
 
-def _run(fam, v, args, offs, s, phis, buf, table):
-    """Every call of vertex v with args in the batch (offs, s, phis)."""
-    tree = table.tree
-    if fam.leaves is None:
-        _xm(fam, v, args[0], offs, s, buf, table)
-    elif tree.alpha[v] < 0:
-        fam.leaves(buf, table.field.mul, offs, s, phis[0], args)
-        adds, muls = fam.cost(args)
-        ctr = buf.counter
-        ctr.additions += adds * len(offs)
-        ctr.multiplications += muls * len(offs)
-    else:
-        phases = fam.split(tree.size[tree.alpha[v]], *args)
-        _walk(fam, v, reversed(phases) if fam.inverse else phases,
-              (1 << tree.size[v]) if fam.full else args[0], offs, s, phis, buf, table)
+def _groups(fam, v, args, tree):
+    """Child groups of internal vertex v for the calls with args, phase by
+    phase in the order they run.
 
-
-def _groups(fam, v, phases, n, tree):
-    """Child groups of internal vertex v, phase by phase, and the number of
-    rows they span.
-
-    Every group is checked against the instances' view length n before any
-    is run.  Children of l2x and x2l see their whole 2^n scratch, the
-    others their ell entries.  Each group is (row, first, count, shifted,
-    args), where shifted counts the rows that charge an advance.
+    Every group is checked against the calls' view length before any is
+    run.  Children of l2x and x2l see their whole 2^n scratch, the others
+    their ell entries.  Each group is (row, first, count, shifted, args),
+    where shifted counts the rows that charge an advance.
     """
     va = tree.alpha[v]
-    w = 1 << tree.size[va]
-    height = 1 << tree.size[tree.delta[v]]
-    leaves, full = fam.leaves, fam.full
-    out = []
-    rows = 0
-    for phase in phases:
-        groups = []
-        for row, first, count, shift, args in phase:
-            # Calls of x2m and m2x of length 2 or less do nothing.
-            if not count or not (leaves or args[0] > 2):
-                continue
-            if row:
-                rows = max(rows, first + count)
-                last = w * (first + count - 1) + (w if full else args[0])
-            else:
-                last = first + count + w * ((height if full else args[0]) - 1)
-            if first < 0 or last > n:
-                raise ValueError("child group exceeds parent view")
-            # Neighbouring groups with one argument tuple run as one batch.
-            shifted = count if shift and leaves else 0
-            prev = groups[-1] if groups else None
-            if (prev and prev[0] == row and prev[4] == args
-                    and prev[1] + prev[2] == first):
-                groups[-1] = (row, prev[1], prev[2] + count, prev[3] + shifted, args)
-            else:
-                groups.append((row, first, count, shifted, args))
-        out.append(groups)
-    return out, rows
-
-
-def _walk(fam, v, phases, n, offs, s, phis, buf, table):
-    """Child batches of internal vertex v over the given phases of its split."""
-    tree = table.tree
-    va, vd = tree.alpha[v], tree.delta[v]
     d = tree.size[va]
     w = 1 << d
-    phased, rows = _groups(fam, v, phases, n, tree)
-    if phis is not None and rows:
-        row_phis = _row_shifts(table.phi_alpha[v], phis, rows)
-    span = len(offs)
-    for groups in phased:
-        for row, first, count, shifted, args in groups:
+    height = 1 << tree.size[tree.delta[v]]
+    leaves, full = fam.leaves, fam.full
+    n = (1 << tree.size[v]) if full else args[0]
+    phases = fam.split(d, *args)
+    out = []
+    for phase in (reversed(phases) if fam.inverse else phases):
+        groups = []
+        for row, first, count, shift, cargs in phase:
+            # Calls of x2m and m2x of length 2 or less do nothing.
+            if not count or not (leaves or cargs[0] > 2):
+                continue
             if row:
-                child, step, cs = va, s * w, s
-                cphis = None
-                if phis is not None:
-                    cphis = [c[span * first:span * (first + count)] for c in row_phis]
-                    buf.counter.additions += d * shifted * span
+                last = w * (first + count - 1) + (w if full else cargs[0])
             else:
-                child, step, cs = vd, s, s * w
-                cphis = None if phis is None else [nu * count for nu in phis[d:]]
-            starts = range(step * first, step * (first + count), step)
-            coffs = [o + k for k in starts for o in offs]
-            _run(fam, child, args, coffs, cs, cphis, buf, table)
+                last = first + count + w * ((height if full else cargs[0]) - 1)
+            if first < 0 or last > n:
+                raise ValueError("child group exceeds parent view")
+            groups.append((row, first, count, count if shift and leaves else 0, cargs))
+        out.append(groups)
+    return out
+
+
+def _repunit(count, step):
+    """Sum of 2^(step*i) for i < count."""
+    return ((1 << step * count) - 1) // ((1 << step) - 1)
+
+
+# A batch is every call of one vertex with one argument tuple, held as a
+# mask whose bits are the calls' start positions in the view; the calls of
+# one vertex share one stride 2^e.  The child batch of a split group is the
+# parent mask times the repunit over the group's row (or column) starts,
+# and a shifted row group charges its d additions per row and call.
+#
+# A layout has the attributes table and counter and three kernels, each run
+# on every call of a batch: leaves(fam, leaf, batches, gap) on the batches
+# of a leaf, taylor(t, ell, mask, e, expand) as _taylor and
+# scale(w, ell, step, mask, e) as _scale_blocks.
+
+
+def _walk(lay, fam, v, batches, e):
+    """The calls of vertex v on layout lay: batches maps args to a mask of
+    start positions, at stride 2^e.
+
+    The walk runs in lockstep.  The groups of one phase of a split touch
+    disjoint entries, and so do their subtrees, so the child batches of
+    every batch of v run together, phase by phase; batches of one child
+    with equal args from different parents share one mask.
+    """
+    table = lay.table
+    tree = table.tree
+    va = tree.alpha[v]
+    ctr = lay.counter
+    if va < 0:
+        if fam.leaves is not None:
+            lay.leaves(fam, v, batches, 1 << e)
+            for args, mask in batches.items():
+                adds, muls = fam.cost(args)
+                span = mask.bit_count()
+                ctr.additions += adds * span
+                ctr.multiplications += muls * span
+        return
+    d = tree.size[va]
+    phased = [_groups(fam, v, args, tree) for args in batches]
+    xm = fam.leaves is None
+    if xm:
+        # x2m runs its block scaling and Taylor inverse after its children,
+        # m2x the Taylor expansion and scaling before them.
+        w = 1 << d
+        head = (table.delta_head if fam.inverse else table.delta_head_inv)(v)
+        if fam.inverse:
+            for (ell,), mask in batches.items():
+                lay.taylor(w, ell, mask, e, True)
+                if ell > w and head != 1:
+                    lay.scale(w, ell, head, mask, e)
+    rstep, cstep = 1 << e + d, 1 << e
+    masks = batches.values()
+    for phase in zip(*phased):
+        rows, cols = {}, {}
+        for mask, groups in zip(masks, phase):
+            for row, first, count, shifted, args in groups:
+                if not row:
+                    cols[args] = cols.get(args, 0) | mask * _repunit(count, cstep) << cstep * first
+                    continue
+                if shifted:
+                    ctr.additions += d * shifted * mask.bit_count()
+                rows[args] = rows.get(args, 0) | mask * _repunit(count, rstep) << rstep * first
+        if rows:
+            _walk(lay, fam, va, rows, e)
+        if cols:
+            _walk(lay, fam, tree.delta[v], cols, e + d)
+    if xm and not fam.inverse:
+        for (ell,), mask in batches.items():
+            if ell > w and head != 1:
+                lay.scale(w, ell, head, mask, e)
+            lay.taylor(w, ell, mask, e, False)
+
+
+def _lin_columns(table, v, leaf):
+    """lin_leaf(2^t) for each bit t of a position in a call at vertex v.
+
+    The shift of the leaf call at position p is phi_vec[leaf] ^ lin_leaf(p).
+    By the split, row i of an alpha child runs with the shift vector
+    advanced i times, a sum that is GF(2)-linear in the bits k of i, with
+    column sh[k] ^ sh[k-1] for sh the leaf's row of phi_alpha there and
+    sh[-1] = 0.  Both layouts build their lam-free shifts from these columns.
+    """
+    tree = table.tree
+    target = tree.leaf_start[leaf]
+    # At a vertex u whose calls have stride 2^e, row bit k of the matrix
+    # view is position bit e + d + k.
+    cols = [0] * tree.size[v]
+    e, u = 0, v
+    while u != leaf:
+        a = tree.alpha[u]
+        d = tree.size[a]
+        if target < tree.leaf_start[a] + d:
+            prev = 0
+            for k, sh in enumerate(table.phi_alpha[u][target - tree.leaf_start[a]]):
+                cols[e + d + k] ^= sh ^ prev
+                prev = sh
+            u = a
+        else:
+            e += d
+            u = tree.delta[u]
+    return cols
+
+
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _offsets(mask):
+    """The set bits of mask, lowest first."""
+    bits = bin(mask)[:1:-1].encode().translate(_BITS)
+    return list(compress(range(len(bits)), bits))
+
+
+class _Scalar:
+    """The scalar layout: the entries of a call stay in the buffer list, and
+    each kernel loops over the set bits of a batch mask as buffer offsets."""
+
+    __slots__ = ("table", "start", "phi_vec", "buf", "counter")
+
+    def __init__(self, table, start, phi_vec, buf):
+        self.table = table
+        self.start = start
+        self.phi_vec = phi_vec
+        self.buf = buf
+        self.counter = buf.counter
+
+    def leaves(self, fam, leaf, batches, gap):
+        table = self.table
+        tree = table.tree
+        # lin_leaf at every position, built once per (start, leaf).
+        key = (self.start, leaf)
+        lin = table.leaf_lin.get(key)
+        if lin is None:
+            lin = [0]
+            for col in _lin_columns(table, *key):
+                lin += [x ^ col for x in lin]
+            table.leaf_lin[key] = lin
+        base = self.phi_vec[tree.leaf_start[leaf] - tree.leaf_start[self.start]]
+        for args, mask in batches.items():
+            offs = _offsets(mask)
+            fam.leaves(self.buf, table.field.mul, offs, gap, [base ^ lin[p] for p in offs], args)
+
+    def taylor(self, t, ell, mask, e, expand):
+        _taylor(t, ell, self.buf, _offsets(mask), 1 << e, expand)
+
+    def scale(self, w, ell, step, mask, e):
+        _scale_blocks(self.table.field, self.buf, _offsets(mask), 1 << e, w, ell, step)
 
 
 def _check_field(field, values, what):
@@ -388,15 +465,27 @@ def _check_field(field, values, what):
 
 
 # Calls at vertices with 2^n_v >= 512 entries run on bit-planes (bitslice).
-# That is where the two layouts break even on GF(2^16) Cantor trees; below
-# it planes lose, at about half the scalar speed for n_v = 8 and a tenth
-# for n_v = 3.
+# That is where the two layouts break even on GF(2^16) Cantor trees: on
+# full-length calls (2-vCPU VM) planes ran at 0.53-0.63x the scalar speed
+# at n_v = 8 and 0.89-1.08x at n_v = 9 for the shifted transforms, and at
+# 0.95x and 1.09-1.51x for x2m and m2x; at n_v = 3 they run at 0.10-0.30x.
 _PLANES_MIN_DIM = 9
 
 
+def _run(fam, v, args, phi_vec, view, table):
+    """One call on a view, on bit-planes at large vertices and in the buffer
+    list below; unchecked."""
+    if table.tree.size[v] >= _PLANES_MIN_DIM:
+        # Imported on first use: processes that only run small calls, such
+        # as count sweeps and the CLI at small n, never compile it.
+        from binbasis import bitslice
+        bitslice.run(fam, v, args, phi_vec, view, table)
+    else:
+        _walk(_Scalar(table, v, phi_vec, view.buffer), fam, v, {args: 1}, 0)
+
+
 def _start(fam, v, c, ell, b, phi_vec, view, table):
-    """Check one call on a view and run it, on bit-planes at large vertices
-    and as a scalar batch of one below; returns its args.
+    """Check one call on a view and run it; returns its args.
 
     x2m and m2x ignore phi_vec.
     """
@@ -410,14 +499,7 @@ def _start(fam, v, c, ell, b, phi_vec, view, table):
         if len(phi_vec) != nv:
             raise ValueError(f"phi vector length {len(phi_vec)}, expected {nv}")
         _check_field(table.field, phi_vec, "shift")
-    if nv >= _PLANES_MIN_DIM:
-        # Imported on first use: processes that only run small calls, such
-        # as count sweeps and the CLI at small n, never compile it.
-        from binbasis import bitslice
-        bitslice.run(fam, v, args, phi_vec, view, table)
-    else:
-        phis = None if fam.leaves is None else list(zip(phi_vec))
-        _run(fam, v, args, [0], 1, phis, view.buffer, table)
+    _run(fam, v, args, phi_vec, view, table)
     return args
 
 
@@ -533,27 +615,6 @@ def _scale_blocks(field, buf, offs, s, w, ell, step):
     buf.counter.multiplications += muls
 
 
-def _xm(fam, v, ell, offs, s, buf, table):
-    """x2m or m2x on a batch; child groups of length 2 or less do nothing."""
-    if ell <= 2:
-        return
-    d = table.tree.d_of(v)
-    w = 1 << d
-    inverse = fam.inverse
-    phases = graded_split(d, ell)
-    step = (table.delta_head if inverse else table.delta_head_inv)(v)
-    scale = ell > w and step != 1
-    if inverse:
-        _taylor(w, ell, buf, offs, s, True)
-        if scale:
-            _scale_blocks(table.field, buf, offs, s, w, ell, step)
-    _walk(fam, v, reversed(phases) if inverse else phases, ell, offs, s, None, buf, table)
-    if not inverse:
-        if scale:
-            _scale_blocks(table.field, buf, offs, s, w, ell, step)
-        _taylor(w, ell, buf, offs, s, False)
-
-
 def x2m(v, ell, view, table):
     """Twisted graded coefficients to monomial coefficients, in place."""
     _start(_X2M, v, ell, ell, 0, None, view, table)
@@ -572,17 +633,22 @@ def scale_by_powers(field, view, w):
     """
     if w == 0:
         raise ValueError("scale factor must be nonzero")
-    ell = len(view)
+    _check_field(field, [w], "scale factor")
+    _check_field(field, view.buffer.data[:len(view)], "data entry")
+    _twist(field, view.buffer.data, len(view), w, view.buffer.counter)
+
+
+def _twist(field, data, ell, w, counter):
+    """scale_by_powers on the first ell entries of data, unchecked."""
     if w == 1 or ell < 2:
         return
-    data = view.buffer.data
     mul = field.mul
     data[1] = mul(w, data[1])
     acc = w
     for p in range(2, ell):
         acc = mul(acc, w)
         data[p] = mul(acc, data[p])
-    view.buffer.counter.twist_multiplications += 1 + 2 * (ell - 2)
+    counter.twist_multiplications += 1 + 2 * (ell - 2)
 
 
 def _check_convert(kind_from, kind_to, tree, ell):
@@ -594,28 +660,12 @@ def _check_convert(kind_from, kind_to, tree, ell):
         raise ValueError(f"ell {ell} out of range for dimension {n}")
 
 
-def _execute(fam, v, phi_vec, c, ell, b, data, table, counter):
-    """Check and run one call of fam at vertex v on a copy of data, charging
-    counter; returns the output.
-
-    l2x and x2l work in a zero-padded scratch of 2^n_v entries and keep its
-    first max(c + b, ell), respectively max(c, ell), entries.
-    """
+def _scratch(fam, v, ell, data, table, counter):
+    """A buffer holding data, zero-padded to the 2^n_v scratch of l2x and x2l."""
     buf = CoeffBuffer(data, counter)
     if fam.full:
         buf.data += [0] * ((1 << table.tree.size[v]) - ell)
-    args = _start(fam, v, c, ell, b, phi_vec, buf.view(), table)
-    if fam.full:
-        # args are (c, ell, b) for l2x and (c, ell) for x2l.
-        del buf.data[max(ell, sum(args) - ell):]
-    return buf.data
-
-
-def _twisted(field, coeffs, w, counter):
-    """coeffs after scale_by_powers by w, charging counter."""
-    buf = CoeffBuffer(coeffs, counter)
-    scale_by_powers(field, buf.view(), w)
-    return buf.data
+    return buf
 
 
 def run_transform(name, v, phi_vec, c, ell, b, data, table):
@@ -626,8 +676,13 @@ def run_transform(name, v, phi_vec, c, ell, b, data, table):
     x2l its first max(c, ell).  x2l ignores b, the others c and b, and x2m
     and m2x also phi_vec.
     """
-    counter = OpCounter()
-    return _execute(_FAMILIES[name], v, phi_vec, c, ell, b, data, table, counter), counter
+    fam = _FAMILIES[name]
+    buf = _scratch(fam, v, ell, data, table, OpCounter())
+    args = _start(fam, v, c, ell, b, phi_vec, buf.view(), table)
+    if fam.full:
+        # args are (c, ell, b) for l2x and (c, ell) for x2l.
+        del buf.data[max(ell, sum(args) - ell):]
+    return buf.data, buf.counter
 
 
 def convert(field, kind_from, kind_to, beta, tree, lam, ell, coeffs, table):
@@ -653,16 +708,25 @@ def convert(field, kind_from, kind_to, beta, tree, lam, ell, coeffs, table):
     if kind_from == kind_to:
         return coeffs, counter
     phi_vec = initial_phi_vector(field, tree, table.bases, lam)
+    n = tree.size[0]
+
+    def leg(fam, coeffs):
+        # The entries and phi_vec are in the field: no per-leg check.
+        buf = _scratch(fam, 0, ell, coeffs, table, counter)
+        _run(fam, 0, _args(fam, n, ell, ell, 0), phi_vec, buf.view(), table)
+        del buf.data[ell:]
+        return buf.data
+
     if kind_from in _LEGS:
         into, _, twisted = _LEGS[kind_from]
         if twisted:
-            coeffs = _twisted(field, coeffs, beta[0], counter)
-        coeffs = _execute(into, 0, phi_vec, ell, ell, 0, coeffs, table, counter)
+            _twist(field, coeffs, ell, beta[0], counter)
+        coeffs = leg(into, coeffs)
     if kind_to in _LEGS:
         _, out, twisted = _LEGS[kind_to]
-        coeffs = _execute(out, 0, phi_vec, ell, ell, 0, coeffs, table, counter)
+        coeffs = leg(out, coeffs)
         if twisted:
-            coeffs = _twisted(field, coeffs, field.inv(beta[0]), counter)
+            _twist(field, coeffs, ell, field.inv(beta[0]), counter)
     return coeffs, counter
 
 

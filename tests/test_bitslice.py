@@ -1,10 +1,10 @@
-"""The bit-plane executor against the scalar one: outputs, counts, shifts."""
+"""The bit-plane layout against the scalar one: outputs, counts, shifts."""
 
 import random
 
 import pytest
 
-from binbasis import bitslice, transforms
+from binbasis import bitslice
 from binbasis.cli import build_basis, build_tree
 from binbasis.field import get_field
 from binbasis.precomp import build_tables, initial_phi_vector
@@ -13,8 +13,10 @@ from binbasis.transforms import (
     CountModel,
     _FAMILIES,
     _PLANES_MIN_DIM,
+    _Scalar,
     _args,
-    _run,
+    _walk,
+    ruler_delta,
     run_transform,
 )
 
@@ -63,8 +65,7 @@ def execute(table, name, v, phi_vec, c, ell, b, data, planes):
     if planes:
         bitslice.run(fam, v, args, phi_vec, buf.view(), table)
     else:
-        phis = None if fam.leaves is None else list(zip(phi_vec))
-        _run(fam, v, args, [0], 1, phis, buf, table)
+        _walk(_Scalar(table, v, phi_vec, buf), fam, v, {args: 1}, 0)
     return buf.data, buf.counter.totals()
 
 
@@ -96,38 +97,58 @@ def test_planes_match_scalar(config):
     assert not mismatches, mismatches[:5]
 
 
+def ruler_shifts(table, v, phi_vec):
+    """{(leaf, position): shift} of every leaf call of a full-length call at
+    v, derived by the split's ruler rule: row i of an alpha child runs with
+    the alpha part of the shift vector advanced after each row j < i by
+    phi_alpha[u][r][ruler_delta(j)] in component r; columns keep the delta
+    part."""
+    tree = table.tree
+    out = {}
+
+    def visit(u, pos, stride, vec):
+        a = tree.alpha[u]
+        if a < 0:
+            out[(u, pos)] = vec[0]
+            return
+        d = tree.size[a]
+        w = 1 << d
+        row = list(vec[:d])
+        for i in range(1 << tree.size[tree.delta[u]]):
+            if i:
+                row = [x ^ sh[ruler_delta(i - 1)] for x, sh in zip(row, table.phi_alpha[u])]
+            visit(a, pos + stride * w * i, stride, row)
+        for j in range(w):
+            visit(tree.delta[u], pos + stride * j, stride * w, vec[d:])
+
+    visit(v, 0, 1, phi_vec)
+    return out
+
+
 @pytest.mark.parametrize("config", CONFIGS[3:6], ids=["-".join(map(str, c)) for c in CONFIGS[3:6]])
-def test_leaf_planes_equal_scalar_shifts(config, monkeypatch):
-    # The scalar executor carries each leaf call's shift explicitly; the
-    # table's lam-free planes plus the call's base must reproduce it at
-    # every leaf position, from the root and from a non-root vertex.
+def test_leaf_planes_equal_scalar_shifts(config):
+    # Both layouts read a leaf call's shift as its base plus the table's
+    # lam-free values (scalar) or planes (bit-planes) at its position; both
+    # must equal the ruler-rule shift at every leaf position, from the root
+    # and from non-root vertices.
     table = make_table(*config)
     tree, field = table.tree, table.field
-    seen = []
-
-    def recording_run(fam, v, args, offs, s, phis, buf, table_):
-        if tree.alpha[v] < 0 and phis is not None:
-            seen.append((v, list(offs), list(phis[0])))
-        return run(fam, v, args, offs, s, phis, buf, table_)
-
-    run = transforms._run
-    monkeypatch.setattr(transforms, "_run", recording_run)
     rng = random.Random(7)
     for v in (0, tree.alpha[0], tree.delta[0]):
         nv = tree.size[v]
         if nv < 2:
             continue
         for phi_vec in shift_vectors(table, v, rng):
-            seen.clear()
+            want = ruler_shifts(table, v, phi_vec)
+            assert len(want) == nv << nv - 1
+            # A scalar call at v fills the table's lam-free values for v.
             execute(table, "l2x", v, phi_vec, 1 << nv, 1 << nv, 0, [1] * (1 << nv), False)
-            assert seen
-            for leaf, offs, phs in seen:
-                planes = bitslice.leaf_planes(table, v, leaf)
+            for (leaf, p), shift in want.items():
                 base = phi_vec[tree.leaf_start[leaf] - tree.leaf_start[v]]
-                for p, ph in zip(offs, phs):
-                    lin = sum((plane >> p & 1) << bit for bit, plane in enumerate(planes))
-                    assert base ^ lin == ph, (v, leaf, p)
-            assert len({leaf for leaf, _, _ in seen}) == nv
+                lin = table.leaf_lin[v, leaf][p]
+                planes = bitslice.leaf_planes(table, v, leaf)
+                assert lin == sum((plane >> p & 1) << bit for bit, plane in enumerate(planes))
+                assert base ^ lin == shift, (v, leaf, p)
     assert all(len(planes) == field.degree for planes in table.leaf_planes.values())
 
 
@@ -149,19 +170,22 @@ def test_layout_round_trip(m):
 @pytest.mark.parametrize("n", [_PLANES_MIN_DIM - 1, _PLANES_MIN_DIM])
 def test_size_dispatch(n):
     # Calls at 2^n_v >= 512 entries run on planes, smaller ones do not;
-    # both give the scalar executor's outputs and CountModel's counts.
-    table = make_table(16, "cantor", "cantor", n)
-    field, size = table.field, 1 << n
-    model = CountModel(table)
-    rng = random.Random(n)
-    phi_vec = initial_phi_vector(field, table.tree, table.bases, rng.randrange(field.order))
-    half = size // 2 + 45
-    for name, c, ell, b in (("n2x", size, size, 0), ("x2n", half, half, 0),
-                            ("l2x", half, size - 3, 1), ("x2l", size, half, 0),
-                            ("x2m", size - 5, size - 5, 0), ("m2x", size, size, 0)):
-        data = [rng.randrange(field.order) for _ in range(ell)]
-        out, ctr = run_transform(name, 0, phi_vec, c, ell, b, data, table)
-        want, totals = execute(table, name, 0, phi_vec, c, ell, b, data, False)
-        assert out == want[:len(out)]
-        assert ctr.totals() == totals == model.transform(name, 0, c, ell, b)
-    assert bool(table.leaf_planes) == (n >= _PLANES_MIN_DIM)
+    # both give the scalar layout's outputs and CountModel's counts.  On the
+    # non-Cantor trees too this checks the planes' shifts one way, which a
+    # round trip cannot.
+    for basis, tree in (("cantor", "cantor"), ("random:4", "trivial"), ("gencantor:2", "graft:2")):
+        table = make_table(16, basis, tree, n)
+        field, size = table.field, 1 << n
+        model = CountModel(table)
+        rng = random.Random(n)
+        phi_vec = initial_phi_vector(field, table.tree, table.bases, rng.randrange(field.order))
+        half = size // 2 + 45
+        for name, c, ell, b in (("n2x", size, size, 0), ("x2n", half, half, 0),
+                                ("l2x", half, size - 3, 1), ("x2l", size, half, 0),
+                                ("x2m", size - 5, size - 5, 0), ("m2x", size, size, 0)):
+            data = [rng.randrange(field.order) for _ in range(ell)]
+            out, ctr = run_transform(name, 0, phi_vec, c, ell, b, data, table)
+            want, totals = execute(table, name, 0, phi_vec, c, ell, b, data, False)
+            assert out == want[:len(out)], (basis, tree, name)
+            assert ctr.totals() == totals == model.transform(name, 0, c, ell, b)
+        assert bool(table.leaf_planes) == (n >= _PLANES_MIN_DIM)

@@ -35,6 +35,7 @@ from binbasis.transforms import (
     CountModel,
     _N2X,
     _X2M,
+    _Scalar,
     _walk,
     convert,
     graded_split,
@@ -185,6 +186,19 @@ def test_scale_by_powers():
 
     with pytest.raises(ValueError):
         scale_by_powers(GF8, CoeffBuffer([1, 2]).view(), 0)
+
+
+@pytest.mark.parametrize("degree", [16, 32])
+def test_scale_by_powers_rejects_elements_outside_field(degree):
+    # Out-of-field entries and factors raised IndexError, scaled silently or,
+    # for a -1 entry over GF(2^32), never returned.
+    field = get_field(degree)
+    top = 1 << degree
+    for data, w in (([1, top, 2], 3), ([1, 2, -1], 3), ([1, 2, 3], top), ([1, 2, 3], -1)):
+        buf = CoeffBuffer(data)
+        with pytest.raises(ValueError, match="outside GF"):
+            scale_by_powers(field, buf.view(), w)
+        assert buf.data == data and buf.counter.totals() == (0, 0, 0)
 
 
 def test_graded_leaf_shift():
@@ -708,9 +722,10 @@ def test_leaf_group_range_check():
     table = build_tables(GF8, build_cantor_tree(2), construct_cantor(GF8, 2))
     rows, columns = graded_split(1, 4)
     for phase in (rows, columns):
+        fam = _N2X._replace(split=lambda d, ell: (phase,))
         buf = CoeffBuffer([5, 6, 7])
         with pytest.raises(ValueError, match="group exceeds parent view"):
-            _walk(_N2X, 0, (phase,), 3, [0], 1, [[1], [1]], buf, table)
+            _walk(_Scalar(table, 0, [1, 1], buf), fam, 0, {(3,): 1}, 0)
         assert buf.data == [5, 6, 7]
 
 
@@ -722,11 +737,11 @@ def test_internal_child_group_range_check(family):
     table = build_tables(GF8, build_cantor_tree(n), construct_cantor(GF8, n))
     size = 1 << n
     rows, columns = graded_split(table.tree.d_of(0), size)
-    fam, phis = (_N2X, [[3]] * n) if family == "n2x" else (_X2M, None)
     rng = random.Random(4)
     for phase in (rows, columns):
+        fam = (_N2X if family == "n2x" else _X2M)._replace(split=lambda d, ell: (phase,))
         data = rand_elems(rng, GF8, size - 1)
         buf = CoeffBuffer(data)
         with pytest.raises(ValueError, match="group exceeds parent view"):
-            _walk(fam, 0, (phase,), size - 1, [0], 1, phis, buf, table)
+            _walk(_Scalar(table, 0, [3] * n, buf), fam, 0, {(size - 1,): 1}, 0)
         assert buf.data == data
