@@ -6,8 +6,9 @@ splits and hands each batch, a mask of start positions at one stride, to
 the kernels here.  A level of butterflies then costs a fixed number of
 shifts, masks and XORs per plane, whatever the batch size, and a lane-wise
 product is an m x m AND/XOR schoolbook on planes reduced by the modulus
-taps.  A leaf runs all of its batches with one product, and a Taylor level
-is two masked shift-XOR steps.
+taps.  At a leaf, each of the family's leaf steps is one masked pass over
+the lanes of every batch that runs it, so one product serves them all; a
+Taylor level is two masked shift-XOR passes.
 
 The shift of a leaf call at position p is phi_vec[L] ^ lin_L(p) for its
 leaf L, with lin_L GF(2)-linear in the bits of p (transforms._lin_columns).
@@ -22,7 +23,8 @@ from array import array
 from functools import reduce
 from operator import and_, xor
 
-from binbasis.transforms import _BITS, _lin_columns, _repunit, _taylor_levels, _walk
+from binbasis.transforms import (_BITS, _lin_columns, _repunit, _scale_muls, _taylor_adds,
+                                 _taylor_levels, _walk)
 
 # _CHARS[j] maps a byte to ASCII '1' where its bit j is set, else '0'.
 _CHARS = tuple(bytes(48 + (x >> j & 1) for x in range(256)) for j in range(8))
@@ -120,7 +122,18 @@ class _Planes:
         self.shifts = {}
 
     def leaves(self, fam, leaf, batches, gap):
-        _LEAVES[fam.key](self, leaf, batches, gap)
+        """The leaf steps of every batch, {args: lanes}: the batches touch
+        disjoint entries, so each step is one pass over the lanes that run it."""
+        steps = (0,) * 5
+        for args, lanes in batches.items():
+            steps = [mask | lanes * flag for mask, flag in zip(steps, fam.leaf(args))]
+        pre, prod, mid, post, copy = steps
+        self.copy_up(pre, gap, True)
+        z = self.shifted_product(leaf, prod, gap) if prod else ()
+        self.copy_up(mid, gap, True)
+        self.add(z)
+        self.copy_up(post, gap, True)
+        self.copy_up(copy, gap, False)
 
     def shifted_product(self, leaf, lanes, gap):
         """shift(p) * entry p + gap at each lane p of the mask lanes, 0 elsewhere."""
@@ -166,7 +179,6 @@ class _Planes:
         """
         s = 1 << e
         x = self.planes
-        adds = 0
         for blk, half, l1, l2 in _taylor_levels(t, ell)[::-1 if expand else 1]:
             tail = max(l2 - blk, 0)
             blocks = _repunit(l1, 2 * blk * s)
@@ -181,8 +193,7 @@ class _Planes:
             for targets in (steps if expand else steps[::-1]):
                 for b, plane in enumerate(x):
                     x[b] = plane ^ (plane >> gap & targets)
-            adds += blk * l1 + tail
-        self.counter.additions += adds * mask.bit_count()
+        self.counter.additions += _taylor_adds(t, ell) * mask.bit_count()
 
     def scale(self, w, ell, step, mask, e):
         """transforms._scale_blocks: block i of each call times step^i, as one
@@ -204,54 +215,4 @@ class _Planes:
         z = self.product(consts, lanes)
         for b, plane in enumerate(x):
             x[b] = plane ^ (plane & lanes) ^ z[b]
-        self.counter.multiplications += (ell - w + len(powers) - 2) * mask.bit_count()
-
-
-# A leaf kernel runs every batch of a leaf, {args: lanes}, with one product
-# over the lanes that need it; the batches touch disjoint entries.
-
-
-def _graded_leaves(ex, leaf, batches, gap):
-    lanes = batches.get((2,), 0)
-    if lanes:
-        ex.add(ex.shifted_product(leaf, lanes, gap))
-
-
-def _l2x_leaves(ex, leaf, batches, gap):
-    first = known = plain = copy = 0
-    for (c, ell, b), lanes in batches.items():
-        if c == 2:
-            first |= lanes
-        elif ell == 2 and c == b == 1:
-            known |= lanes
-        elif ell == 2:
-            plain |= lanes
-        elif c == b == 1:
-            copy |= lanes
-    # c = 2 adds entry p into p + gap before the product reads it; the
-    # known-value case adds it after.
-    ex.copy_up(first, gap, True)
-    if first | known | plain:
-        z = ex.shifted_product(leaf, first | known | plain, gap)
-        ex.copy_up(known, gap, True)
-        ex.add(z)
-    ex.copy_up(copy, gap, False)
-
-
-def _x2l_leaves(ex, leaf, batches, gap):
-    prod = both = copy = 0
-    for (c, ell), lanes in batches.items():
-        if ell == 2:
-            prod |= lanes
-            if c == 2:
-                both |= lanes
-        elif c == 2:
-            copy |= lanes
-    if prod:
-        ex.add(ex.shifted_product(leaf, prod, gap))
-    ex.copy_up(both, gap, True)
-    ex.copy_up(copy, gap, False)
-
-
-# The leaf kernels of transforms' families, by family key, on planes.
-_LEAVES = {"n2x": _graded_leaves, "l2x": _l2x_leaves, "x2l": _x2l_leaves}
+        self.counter.multiplications += _scale_muls(w, ell) * mask.bit_count()

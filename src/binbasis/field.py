@@ -85,6 +85,8 @@ def _mul_kernel(degree: int, modulus: int):
     def mul(a: int, b: int) -> int:
         if a < b:
             a, b = b, a
+        if b < 0 or a >> m0:
+            raise ValueError(f"operand outside GF(2^{degree})")
         if b < 16:
             # Small operands are common (unit heads, small basis elements,
             # the table build's generator): a short bit loop is cheaper than
@@ -229,10 +231,11 @@ class Field:
         return a ^ b
 
     def mul(self, a: int, b: int) -> int:
-        """Product by exp/log lookup.
+        """Product by exp/log lookup, unchecked: operands must be field elements.
 
         Fields without log tables (m > 16) bind their multiply kernel over
-        this method in `__init__`, so a product costs one call.
+        this method in `__init__`, so a product costs one call; the kernel
+        raises ValueError for an operand outside the field.
         """
         if a == 0 or b == 0:
             return 0

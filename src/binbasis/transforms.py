@@ -20,12 +20,11 @@ them as m bit-planes.  In both, a batch is a mask of start positions and a
 leaf call's shift is its base plus a lam-free value that the table keeps.
 The scalar kernels are the reference the tests hold the bit-plane ones to.
 
-Each transform is described once, by a family record: its split, its leaf
-kernel and that kernel's cost, its scratch and phase order, and how
-(c, ell, b) packs into its arguments.  The executors, convert and
-CountModel all read the same records, and convert and CountModel route
-through the same table of legs.  CountModel replays the splits on lengths
-alone and prices leaves by the recorded cost: all counts are
+Each transform is described once, by a family record: its split, the
+steps of its leaf calls, its scratch and phase order, and how (c, ell, b)
+packs into its arguments.  Both layouts run those steps, and CountModel
+prices them; convert and CountModel route through one table of legs.
+CountModel replays the splits on lengths alone: all counts are
 data-independent once the table fixes which scaling guards fire, so sweeps
 over every ell are cheap even where execution would not be.
 """
@@ -158,65 +157,37 @@ def x2l_split(d, c, ell):
             ((True, 0, c1, True, (w, l2p)), (True, c1, 1, False, (c - w * c1, l2p))))
 
 
-# A scalar leaf kernel runs every call of a leaf in a batch: call j reads
-# its entries 0 and 1 at buffer indices offs[j] and offs[j] + gap and runs
-# at leaf shift phs[j].  Its cost function prices one call as (additions,
-# multiplications), and _walk charges that once per call.
+# Every leaf call reads its entries x0 = entry p and x1 = entry p + gap and
+# runs at its shift s.  A family's leaf function maps args to the flags
+# (pre, mul, mid, post, copy) of the steps the call runs, in this order:
+#   1. pre: x1 ^= x0     2. mul: k = s * x1     3. mid: x1 ^= x0
+#   4. x0 ^= k, whenever mul runs     5. post: x1 ^= x0     6. copy: x1 = x0
+# Both layouts run these steps, and _leaf_cost prices them.
 
 
-def _graded_leaves(buf, mul, offs, gap, phs, args):
-    """Leaf calls of n2x and x2n; args is (ell,)."""
-    if args[0] == 2:
-        data = buf.data
-        for p, ph in zip(offs, phs):
-            data[p] ^= mul(ph, data[p + gap])
+def _graded_leaf(args):
+    """Leaf steps of n2x and x2n; args is (ell,)."""
+    return (False, args[0] == 2, False, False, False)
 
 
-def _graded_cost(args):
-    return (1, 1) if args[0] == 2 else (0, 0)
-
-
-def _l2x_leaves(buf, mul, offs, gap, phs, args):
-    """Leaf calls of l2x; args is (c, ell, b)."""
+def _l2x_leaf(args):
+    """Leaf steps of l2x; args is (c, ell, b).  c = 2 adds x0 into x1
+    before the product reads it, the known value c = b = 1 after."""
     c, ell, b = args
-    data = buf.data
-    for p, ph in zip(offs, phs):
-        q = p + gap
-        if c == 2:
-            data[q] ^= data[p]
-            data[p] ^= mul(ph, data[q])
-        elif ell == 2 and c == b == 1:
-            known = mul(ph, data[q])
-            data[q] ^= data[p]
-            data[p] ^= known
-        elif ell == 2:
-            data[p] ^= mul(ph, data[q])
-        elif c == b == 1:
-            data[q] = data[p]
+    known = c == b == 1
+    return (c == 2, ell == 2, ell == 2 and known, False, ell != 2 and known)
 
 
-def _l2x_cost(args):
-    c, ell, b = args
-    return (2 if c == 2 or c == b == 1 else 1, 1) if ell == 2 else (0, 0)
-
-
-def _x2l_leaves(buf, mul, offs, gap, phs, args):
-    """Leaf calls of x2l; args is (c, ell)."""
+def _x2l_leaf(args):
+    """Leaf steps of x2l; args is (c, ell)."""
     c, ell = args
-    data = buf.data
-    for p, ph in zip(offs, phs):
-        q = p + gap
-        if ell == 2:
-            data[p] ^= mul(ph, data[q])
-            if c == 2:
-                data[q] ^= data[p]
-        elif c == 2:
-            data[q] = data[p]
+    return (False, ell == 2, False, ell == 2 and c == 2, ell != 2 and c == 2)
 
 
-def _x2l_cost(args):
-    c, ell = args
-    return (2 if c == 2 else 1, 1) if ell == 2 else (0, 0)
+def _leaf_cost(steps):
+    """(additions, multiplications) of one leaf call running steps."""
+    pre, mul, mid, post, _ = steps
+    return (pre + mul + mid + post, mul)
 
 
 # A pack function checks c and b of one call at an nv-dim vertex and packs
@@ -244,17 +215,17 @@ def _x2l_pack(nv, c, ell, b):
 
 
 # A family record describes one transform.  key names its counts in
-# CountModel's memo; inverse twins cost the same and share it.  leaves is
-# None for x2m and m2x, whose calls of length 2 or less do nothing.  full
-# says whether children see their whole 2^n scratch, and inverse whether the
-# phases of the split run in reverse.
-_Family = namedtuple("_Family", "key split leaves cost full inverse pack")
+# CountModel's memo; inverse twins cost the same and share it.  leaf gives
+# a leaf call's steps, and is None for x2m and m2x, whose calls of length 2
+# or less do nothing.  full says whether children see their whole 2^n
+# scratch, and inverse whether the phases of the split run in reverse.
+_Family = namedtuple("_Family", "key split leaf full inverse pack")
 
-_N2X = _Family("n2x", graded_split, _graded_leaves, _graded_cost, False, False, _graded_pack)
+_N2X = _Family("n2x", graded_split, _graded_leaf, False, False, _graded_pack)
 _X2N = _N2X._replace(inverse=True)
-_L2X = _Family("l2x", l2x_split, _l2x_leaves, _l2x_cost, True, False, _l2x_pack)
-_X2L = _Family("x2l", x2l_split, _x2l_leaves, _x2l_cost, True, False, _x2l_pack)
-_X2M = _Family("x2m", graded_split, None, lambda args: (0, 0), False, False, _graded_pack)
+_L2X = _Family("l2x", l2x_split, _l2x_leaf, True, False, _l2x_pack)
+_X2L = _Family("x2l", x2l_split, _x2l_leaf, True, False, _x2l_pack)
+_X2M = _Family("x2m", graded_split, None, False, False, _graded_pack)
 _M2X = _X2M._replace(inverse=True)
 
 _FAMILIES = {"n2x": _N2X, "x2n": _X2N, "l2x": _L2X, "x2l": _X2L, "x2m": _X2M, "m2x": _M2X}
@@ -287,7 +258,7 @@ def _groups(fam, v, args, tree):
     d = tree.size[va]
     w = 1 << d
     height = 1 << tree.size[tree.delta[v]]
-    leaves, full = fam.leaves, fam.full
+    leaf, full = fam.leaf, fam.full
     n = (1 << tree.size[v]) if full else args[0]
     phases = fam.split(d, *args)
     out = []
@@ -295,7 +266,7 @@ def _groups(fam, v, args, tree):
         groups = []
         for row, first, count, shift, cargs in phase:
             # Calls of x2m and m2x of length 2 or less do nothing.
-            if not count or not (leaves or cargs[0] > 2):
+            if not count or not (leaf or cargs[0] > 2):
                 continue
             if row:
                 last = w * (first + count - 1) + (w if full else cargs[0])
@@ -303,7 +274,7 @@ def _groups(fam, v, args, tree):
                 last = first + count + w * ((height if full else cargs[0]) - 1)
             if first < 0 or last > n:
                 raise ValueError("child group exceeds parent view")
-            groups.append((row, first, count, count if shift and leaves else 0, cargs))
+            groups.append((row, first, count, count if shift and leaf else 0, cargs))
         out.append(groups)
     return out
 
@@ -339,17 +310,17 @@ def _walk(lay, fam, v, batches, e):
     va = tree.alpha[v]
     ctr = lay.counter
     if va < 0:
-        if fam.leaves is not None:
+        if fam.leaf is not None:
             lay.leaves(fam, v, batches, 1 << e)
             for args, mask in batches.items():
-                adds, muls = fam.cost(args)
+                adds, muls = _leaf_cost(fam.leaf(args))
                 span = mask.bit_count()
                 ctr.additions += adds * span
                 ctr.multiplications += muls * span
         return
     d = tree.size[va]
     phased = [_groups(fam, v, args, tree) for args in batches]
-    xm = fam.leaves is None
+    xm = fam.leaf is None
     if xm:
         # x2m runs its block scaling and Taylor inverse after its children,
         # m2x the Taylor expansion and scaling before them.
@@ -447,9 +418,28 @@ class _Scalar:
                 lin += [x ^ col for x in lin]
             table.leaf_lin[key] = lin
         base = self.phi_vec[tree.leaf_start[leaf] - tree.leaf_start[self.start]]
+        data, mul = self.buf.data, table.field.mul
+        # Each step of a batch is one loop over its calls' offsets p.
         for args, mask in batches.items():
+            pre, prod, mid, post, copy = fam.leaf(args)
             offs = _offsets(mask)
-            fam.leaves(self.buf, table.field.mul, offs, gap, [base ^ lin[p] for p in offs], args)
+            if pre:
+                for p in offs:
+                    data[p + gap] ^= data[p]
+            if prod:
+                ks = [mul(base ^ lin[p], data[p + gap]) for p in offs]
+            if mid:
+                for p in offs:
+                    data[p + gap] ^= data[p]
+            if prod:
+                for p, k in zip(offs, ks):
+                    data[p] ^= k
+            if post:
+                for p in offs:
+                    data[p + gap] ^= data[p]
+            if copy:
+                for p in offs:
+                    data[p + gap] = data[p]
 
     def taylor(self, t, ell, mask, e, expand):
         _taylor(t, ell, self.buf, _offsets(mask), 1 << e, expand)
@@ -495,7 +485,7 @@ def _start(fam, v, c, ell, b, phi_vec, view, table):
     if view.length != want:
         raise ValueError(f"view length {view.length}, expected {want}")
     _check_field(table.field, view.buffer.data[:want], "data entry")
-    if fam.leaves is not None:
+    if fam.leaf is not None:
         if len(phi_vec) != nv:
             raise ValueError(f"phi vector length {len(phi_vec)}, expected {nv}")
         _check_field(table.field, phi_vec, "shift")
@@ -543,6 +533,11 @@ def _taylor_levels(t, ell):
         l1 = ell // (2 * blk)
         levels.append((blk, 1 << k, l1, ell - 2 * blk * l1))
     return tuple(levels)
+
+
+def _taylor_adds(t, ell):
+    """Additions of one _taylor call, which counts them op by op."""
+    return sum(blk * l1 + max(l2 - blk, 0) for blk, _, l1, l2 in _taylor_levels(t, ell))
 
 
 def _taylor(t, ell, buf, offs, s, expand):
@@ -613,6 +608,11 @@ def _scale_blocks(field, buf, offs, s, w, ell, step):
             data[block] = [mul(acc, x) for x in data[block]]
             muls += min(w, ell - base)
     buf.counter.multiplications += muls
+
+
+def _scale_muls(w, ell):
+    """Multiplications of one _scale_blocks call with ell > w."""
+    return ell - w + -(-ell // w) - 2
 
 
 def x2m(v, ell, view, table):
@@ -756,11 +756,11 @@ class CountModel:
             return hit
         tree = self.tree
         va = tree.alpha[v]
-        if va < 0 or fam.leaves is None and args[0] <= 2:
-            hit = fam.cost(args)
+        if va < 0 or fam.leaf is None and args[0] <= 2:
+            hit = _leaf_cost(fam.leaf(args)) if fam.leaf else (0, 0)
         else:
             vd, d = tree.delta[v], tree.size[va]
-            shifted = fam.leaves is not None
+            shifted = fam.leaf is not None
             a = m = 0
             for phase in fam.split(d, *args):
                 for row, _, count, shift, cargs in phase:
@@ -768,11 +768,11 @@ class CountModel:
                         ca, cm = self._count(fam, va if row else vd, cargs)
                         a += count * (ca + d * (shift and shifted))
                         m += count * cm
-            if fam.leaves is None:
+            if fam.leaf is None:
                 ell, w = args[0], 1 << d
-                a += self.taylor(w, ell)
+                a += _taylor_adds(w, ell)
                 if ell > w and self.table.delta_head(v) != 1:
-                    m += ell - w + -(-ell // w) - 2  # _scale_blocks
+                    m += _scale_muls(w, ell)
             hit = (a, m)
         memo[key] = hit
         return hit
@@ -799,8 +799,7 @@ class CountModel:
 
     def taylor(self, t, ell):
         """Additions of taylor_expand and of taylor_inverse."""
-        return sum(blk * l1 + max(l2 - blk, 0)
-                   for blk, _, l1, l2 in _taylor_levels(t, ell))
+        return _taylor_adds(t, ell)
 
     def twist(self, ell):
         """Multiplications of the x -> beta_0 x substitution."""

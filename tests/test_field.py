@@ -108,6 +108,15 @@ def test_inv_rejects_non_elements():
                 f.inv(a)
 
 
+def test_mul_kernel_rejects_non_elements():
+    # Above GF(2^16) Field.mul is the windowed kernel.  Unchecked, a negative
+    # operand never ends its window loop and one >= 2^m gives a wrong element.
+    f = get_field(32)
+    for a, b in ((3, 1 << 32), (-1, 3), (3, -1), (1 << 32, 1 << 32)):
+        with pytest.raises(ValueError):
+            f.mul(a, b)
+
+
 def test_mul_matches_raw_path():
     # Table-driven multiplication agrees with the bit-serial reference.
     f = get_field(12)

@@ -636,19 +636,21 @@ def test_transform_argument_errors():
         model.convert("lch", "newton", 9)
 
 
-@pytest.mark.parametrize("field, make_basis, make_tree", [
-    (GF16, lambda: construct_cantor(GF16, 8), lambda: build_cantor_tree(8)),
-    (get_field(32), lambda: random_basis(get_field(32), 8, random.Random(1)),
-     lambda: build_trivial(8)),
-], ids=["gf16-cantor-cantor", "gf32-random-comb"])
-def test_all_pairs_match_oracle_at_n8(field, make_basis, make_tree):
+@pytest.mark.parametrize("field, make_basis, make_tree, n", [
+    (GF16, construct_cantor, build_cantor_tree, 8),
+    (get_field(32), lambda f, n: random_basis(f, n, random.Random(1)), build_trivial, 8),
+    (GF16, construct_cantor, build_cantor_tree, 9),
+    (GF16, lambda f, n: random_basis(f, n, random.Random(1)), build_trivial, 9),
+], ids=["gf16-cantor-cantor", "gf32-random-comb", "gf16-cantor-cantor-n9", "gf16-random-comb-n9"])
+def test_all_pairs_match_oracle_at_n8(field, make_basis, make_tree, n):
     # At n = 8 a vertex's batch holds up to 128 calls, far more than the
-    # property tests reach at n <= 5.
-    beta = make_basis()
-    table = build_tables(field, make_tree(), beta)
+    # property tests reach at n <= 5.  At n = 9 the root's calls run on
+    # bit-planes, so the oracle checks that layout's shifts too.
+    beta = make_basis(field, n)
+    table = build_tables(field, make_tree(n), beta)
     model = CountModel(table)
     rng = random.Random(8)
-    for ell in (256, 203):
+    for ell in (1 << n, (1 << n) - 53):
         lam = rng.randrange(1, field.order)
         coeffs = rand_elems(rng, field, ell)
         for a in BASIS_KINDS:
