@@ -11,9 +11,10 @@ the lanes of every batch that runs it, so one product serves them all; a
 Taylor level is two masked shift-XOR passes.
 
 The shift of a leaf call at position p is phi_vec[L] ^ lin_L(p) for its
-leaf L, with lin_L GF(2)-linear in the bits of p (transforms._lin_columns).
-The m planes of lin_L depend on the table and the start vertex only, so the
-table keeps them; a call adds its own base.  The scalar layout in
+leaf L, with lin_L GF(2)-linear in the bits of p; transforms._lin_columns
+derives its value at each bit from the vertex bases.  The m planes of lin_L
+depend on the table and the start vertex only, so the table caches them on
+first use; a call adds its own base.  The scalar layout in
 transforms runs the same walk and charges the same counts, and stays the
 reference.
 """

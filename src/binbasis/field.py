@@ -231,15 +231,21 @@ class Field:
         return a ^ b
 
     def mul(self, a: int, b: int) -> int:
-        """Product by exp/log lookup, unchecked: operands must be field elements.
+        """Product by exp/log lookup; ValueError for an operand outside the field.
 
         Fields without log tables (m > 16) bind their multiply kernel over
         this method in `__init__`, so a product costs one call; the kernel
-        raises ValueError for an operand outside the field.
+        makes the same check.  Here the checks sit off the path of two
+        nonzero elements: in the zero branch and behind the lookup.
         """
-        if a == 0 or b == 0:
+        if a <= 0 or b <= 0:
+            if a < 0 or b < 0 or a >= self.order or b >= self.order:
+                raise ValueError(f"operand outside GF(2^{self.degree})")
             return 0
-        return self._exp[self._log[a] + self._log[b]]
+        try:
+            return self._exp[self._log[a] + self._log[b]]
+        except IndexError:
+            raise ValueError(f"operand outside GF(2^{self.degree})") from None
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse of a nonzero field element."""
@@ -255,6 +261,8 @@ class Field:
         """a^e by square-and-multiply; e >= 0."""
         if e < 0:
             raise ValueError("negative exponent")
+        if not 0 <= a < self.order:
+            raise ValueError(f"{a!r} is not an element of GF(2^{self.degree})")
         if a == 0:
             return 0 if e else 1
         if self._exp is not None:

@@ -1,11 +1,12 @@
-"""Per-vertex bases, prefix sums, and stored shift maps for reduction trees.
+"""Per-vertex bases and the shift maps of a reduction tree.
 
 Each vertex v of a reduction tree carries its own basis beta_v: the root
 keeps the input basis, an alpha child takes the length-d prefix, and a delta
 child takes the image of the suffix under q -> q^(2^d) - q.  The map
 phi_v(u, lam) transports an evaluation shift lam down to leaf u of v's
-subtree.  Transforms only ever need phi at the prefix sums sigma_{v,i} of
-the suffix basis, so those n(n-1)/2 values are computed once and stored.
+subtree.  It is GF(2)-linear in lam, so the transforms need it only at the
+basis elements of v; they derive those values from the bases and heads kept
+here when a call first needs them (transforms._lin_columns).
 """
 
 from binbasis.basisgen import is_independent
@@ -51,8 +52,6 @@ class PrecompTable:
       bases      basis beta_v at each vertex
       head       beta_{v,0}
       head_inv   1/beta_{v,0}
-      sigma      sigma_{v,i} = beta_{v,d} + ... + beta_{v,d+i}, () at leaves
-      phi_alpha  phi_alpha[v][r][i] = phi_v(leaf r of the alpha child, sigma_{v,i})
 
     Only leaf_lin and leaf_planes change after construction: they start
     empty, and the executors add the lam-free leaf shifts of each (start
@@ -61,17 +60,15 @@ class PrecompTable:
     """
 
     __slots__ = ("field", "tree", "beta", "bases", "head", "head_inv",
-                 "sigma", "phi_alpha", "leaf_lin", "leaf_planes")
+                 "leaf_lin", "leaf_planes")
 
-    def __init__(self, field, tree, beta, bases, sigma, phi_alpha):
+    def __init__(self, field, tree, beta, bases):
         self.field = field
         self.tree = tree
         self.beta = tuple(beta)
         self.bases = bases
         self.head = tuple(b[0] for b in bases)
         self.head_inv = tuple(field.inv(h) for h in self.head)
-        self.sigma = sigma
-        self.phi_alpha = phi_alpha
         self.leaf_lin = {}
         self.leaf_planes = {}
 
@@ -83,34 +80,13 @@ class PrecompTable:
         return self.head_inv[self.tree.delta[v]]
 
     def phi_entry_count(self):
-        return sum(len(rows) * len(rows[0]) if rows else 0
-                   for rows in self.phi_alpha)
+        # The table stores no phi values: the transforms derive them.
+        return 0
 
 
 def build_tables(field, tree, beta):
-    """Precompute every table the transforms read; O(n^3) field operations."""
-    bases = compute_vertex_bases(field, tree, beta)
-    sigma = []
-    phi_alpha = []
-    for v in tree.vertices():
-        if tree.is_leaf(v):
-            sigma.append(())
-            phi_alpha.append(())
-            continue
-        bv = bases[v]
-        d = tree.d_of(v)
-        sums = []
-        acc = 0
-        for b in bv[d:]:
-            acc ^= b
-            sums.append(acc)
-        sigma.append(tuple(sums))
-        a = tree.alpha[v]
-        lo = tree.leaf_start[a]
-        phi_alpha.append(tuple(
-            tuple(phi(field, tree, bases, v, lo + r, s) for s in sums)
-            for r in range(tree.size[a])))
-    return PrecompTable(field, tree, beta, bases, tuple(sigma), tuple(phi_alpha))
+    """The vertex bases and heads the transforms read; no phi is evaluated."""
+    return PrecompTable(field, tree, beta, compute_vertex_bases(field, tree, beta))
 
 
 def initial_phi_vector(field, tree, bases, lam):

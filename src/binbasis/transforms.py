@@ -7,9 +7,9 @@ indices.  Each conversion walks the reduction tree, viewing the coefficient
 vector as a 2^(n_v - d_v) x 2^d_v matrix at vertex v and recursing on full
 rows and strided columns.  The public executors take a view of a buffer's
 first entries and check its geometry, its entries and the shift vector.
-Every field addition and multiplication performed on buffer data, or on the
-shift vector mu, increments the buffer's counter; everything precomputed is
-excluded.
+Every field addition and multiplication performed on buffer data, and each
+addition the paper's executor makes on the shift vector mu, increments the
+buffer's counter; everything precomputed is excluded.
 
 One walk, _walk, runs every transform breadth-first in batches, one pass
 per split group over every call of a vertex with the same arguments, and
@@ -17,8 +17,9 @@ hands the leaf, Taylor and scaling steps to a kernel layout chosen by the
 size of the called vertex.  Below 2^9 entries _Scalar keeps the entries in
 the buffer's list and multiplies entry by entry; from 2^9 up bitslice holds
 them as m bit-planes.  In both, a batch is a mask of start positions and a
-leaf call's shift is its base plus a lam-free value that the table keeps.
-The scalar kernels are the reference the tests hold the bit-plane ones to.
+leaf call's shift is its base plus a lam-free value, derived from the vertex
+bases on first use and cached by the table.  The scalar kernels are the
+reference the tests hold the bit-plane ones to.
 
 Each transform is described once, by a family record: its split, the
 steps of its leaf calls, its scratch and phase order, and how (c, ell, b)
@@ -109,10 +110,11 @@ def _clog2(x):
 # dimension d.  It is a tuple of phases, each a tuple of groups
 # (row, first, count, shift, child args): rows first..first+count-1 of the
 # 2^(n_v-d) x 2^d matrix view go to the alpha child, columns to the delta
-# child.  A row group with shift set advances the alpha shift vector by
-# phi_alpha[v][.][ruler_delta(i)] after row i, at d additions; row i always
-# runs with the vector advanced i times.  Inverse twins walk the phases of
-# the same split in reverse order.
+# child.  Row i of a row group with shift set runs at the alpha shift vector
+# advanced after each row j < i by phi_v at beta_{v,d} + ... +
+# beta_{v,d+ruler_delta(j)}.  The executors read that sum from the lam-free
+# leaf shifts; the counts charge the paper's d additions on mu per advance.
+# Inverse twins walk the phases of the same split in reverse order.
 
 
 @lru_cache(maxsize=256)
@@ -187,7 +189,7 @@ def _x2l_leaf(args):
 def _leaf_cost(steps):
     """(additions, multiplications) of one leaf call running steps."""
     pre, mul, mid, post, _ = steps
-    return (pre + mul + mid + post, mul)
+    return (pre + mul + mid + post, int(mul))
 
 
 # A pack function checks c and b of one call at an nv-dim vertex and packs
@@ -233,16 +235,23 @@ _FAMILIES = {"n2x": _N2X, "x2n": _X2N, "l2x": _L2X, "x2l": _X2L, "x2m": _X2M, "m
 # The legs of each named basis but lch, into the graded basis and out of it,
 # and whether they carry the x -> beta_0 x twist.  convert runs them and
 # CountModel.convert counts them.
-_LEGS = {"newton": (_N2X, _X2N, False), "lagrange": (_L2X, _X2L, False),
-         "monomial": (_M2X, _X2M, True)}
+_LEGS = {"newton": ("n2x", "x2n", False), "lagrange": ("l2x", "x2l", False),
+         "monomial": ("m2x", "x2m", True)}
 
 
-def _args(fam, nv, c, ell, b):
-    """Checked args of one call of fam at an nv-dim vertex: the one argument
-    check of the executors, run_transform, convert and CountModel."""
+def _args(name, tree, v, c, ell, b):
+    """(family, checked args) of one call of transform name at vertex v: the
+    one argument check of the executors, run_transform, convert and
+    CountModel."""
+    fam = _FAMILIES.get(name)
+    if fam is None:
+        raise ValueError(f"unknown transform {name!r}; choose from {', '.join(_FAMILIES)}")
+    if not 0 <= v < len(tree.size):
+        raise ValueError(f"vertex {v} out of range for a tree of {len(tree.size)} vertices")
+    nv = tree.size[v]
     if not 1 <= ell <= (1 << nv):
         raise ValueError(f"ell {ell} out of range at a {nv}-dim vertex")
-    return fam.pack(nv, c, ell, b)
+    return fam, fam.pack(nv, c, ell, b)
 
 
 def _groups(fam, v, args, tree):
@@ -355,32 +364,29 @@ def _walk(lay, fam, v, batches, e):
 
 
 def _lin_columns(table, v, leaf):
-    """lin_leaf(2^t) for each bit t of a position in a call at vertex v.
+    """lin_leaf(2^j) for each bit j of a position in a call at vertex v.
 
-    The shift of the leaf call at position p is phi_vec[leaf] ^ lin_leaf(p).
-    By the split, row i of an alpha child runs with the shift vector
-    advanced i times, a sum that is GF(2)-linear in the bits k of i, with
-    column sh[k] ^ sh[k-1] for sh the leaf's row of phi_alpha there and
-    sh[-1] = 0.  Both layouts build their lam-free shifts from these columns.
+    The shift of the leaf call at position p is phi_vec[leaf] ^ lin_leaf(p),
+    with lin_leaf(p) phi_v at the point of span(beta_v) at the bits of p.
+    phi_v is GF(2)-linear, so column j is phi_v(leaf, beta_{v,j}), except at
+    the leaf's own bit: it marks x1 of the butterflies, where no call
+    starts, and its column is 0.  Both layouts build their lam-free shifts
+    from these columns.
     """
-    tree = table.tree
+    tree, field, head_inv = table.tree, table.field, table.head_inv
     target = tree.leaf_start[leaf]
-    # At a vertex u whose calls have stride 2^e, row bit k of the matrix
-    # view is position bit e + d + k.
-    cols = [0] * tree.size[v]
-    e, u = 0, v
+    cols = list(table.bases[v])
+    u = v
     while u != leaf:
         a = tree.alpha[u]
-        d = tree.size[a]
-        if target < tree.leaf_start[a] + d:
-            prev = 0
-            for k, sh in enumerate(table.phi_alpha[u][target - tree.leaf_start[a]]):
-                cols[e + d + k] ^= sh ^ prev
-                prev = sh
+        if target < tree.leaf_start[a] + tree.size[a]:
             u = a
         else:
-            e += d
+            qs = [field.mul(x, head_inv[u]) for x in cols]
+            cols = [field.pow2k(q, tree.size[a]) ^ q for q in qs]
             u = tree.delta[u]
+    cols = [field.mul(x, head_inv[leaf]) for x in cols]
+    cols[target - tree.leaf_start[v]] = 0
     return cols
 
 
@@ -474,13 +480,13 @@ def _run(fam, v, args, phi_vec, view, table):
         _walk(_Scalar(table, v, phi_vec, view.buffer), fam, v, {args: 1}, 0)
 
 
-def _start(fam, v, c, ell, b, phi_vec, view, table):
-    """Check one call on a view and run it; returns its args.
+def _start(name, v, c, ell, b, phi_vec, view, table):
+    """Check one call on a view and run it.
 
     x2m and m2x ignore phi_vec.
     """
+    fam, args = _args(name, table.tree, v, c, ell, b)
     nv = table.tree.size[v]
-    args = _args(fam, nv, c, ell, b)
     want = (1 << nv) if fam.full else ell
     if view.length != want:
         raise ValueError(f"view length {view.length}, expected {want}")
@@ -490,17 +496,16 @@ def _start(fam, v, c, ell, b, phi_vec, view, table):
             raise ValueError(f"phi vector length {len(phi_vec)}, expected {nv}")
         _check_field(table.field, phi_vec, "shift")
     _run(fam, v, args, phi_vec, view, table)
-    return args
 
 
 def n2x(v, phi_vec, ell, view, table):
     """Rewrite shifted-Newton coefficients as graded coefficients, in place."""
-    _start(_N2X, v, ell, ell, 0, phi_vec, view, table)
+    _start("n2x", v, ell, ell, 0, phi_vec, view, table)
 
 
 def x2n(v, phi_vec, ell, view, table):
     """Inverse of n2x: columns first, then rows in the same shift order."""
-    _start(_X2N, v, ell, ell, 0, phi_vec, view, table)
+    _start("x2n", v, ell, ell, 0, phi_vec, view, table)
 
 
 def l2x(v, phi_vec, c, ell, b, view, table):
@@ -510,7 +515,7 @@ def l2x(v, phi_vec, c, ell, b, view, table):
     entries c..ell-1 hold coefficients h_i.  Afterwards entries 0..c-1 hold
     h_i, and entry c holds the value f_c when b is 1.
     """
-    _start(_L2X, v, c, ell, b, phi_vec, view, table)
+    _start("l2x", v, c, ell, b, phi_vec, view, table)
 
 
 def x2l(v, phi_vec, c, ell, view, table):
@@ -519,7 +524,7 @@ def x2l(v, phi_vec, c, ell, view, table):
     The view spans the full 2^n_v scratch; entries 0..ell-1 hold h_i, and
     afterwards entries 0..c-1 hold the values f_i.  c may exceed ell.
     """
-    _start(_X2L, v, c, ell, 0, phi_vec, view, table)
+    _start("x2l", v, c, ell, 0, phi_vec, view, table)
 
 
 @lru_cache(maxsize=256)
@@ -617,12 +622,12 @@ def _scale_muls(w, ell):
 
 def x2m(v, ell, view, table):
     """Twisted graded coefficients to monomial coefficients, in place."""
-    _start(_X2M, v, ell, ell, 0, None, view, table)
+    _start("x2m", v, ell, ell, 0, None, view, table)
 
 
 def m2x(v, ell, view, table):
     """Inverse of x2m: expand, scale blocks up, then columns and rows."""
-    _start(_M2X, v, ell, ell, 0, None, view, table)
+    _start("m2x", v, ell, ell, 0, None, view, table)
 
 
 def scale_by_powers(field, view, w):
@@ -676,9 +681,9 @@ def run_transform(name, v, phi_vec, c, ell, b, data, table):
     x2l its first max(c, ell).  x2l ignores b, the others c and b, and x2m
     and m2x also phi_vec.
     """
-    fam = _FAMILIES[name]
+    fam, args = _args(name, table.tree, v, c, ell, b)
     buf = _scratch(fam, v, ell, data, table, OpCounter())
-    args = _start(fam, v, c, ell, b, phi_vec, buf.view(), table)
+    _start(name, v, c, ell, b, phi_vec, buf.view(), table)
     if fam.full:
         # args are (c, ell, b) for l2x and (c, ell) for x2l.
         del buf.data[max(ell, sum(args) - ell):]
@@ -696,7 +701,7 @@ def convert(field, kind_from, kind_to, beta, tree, lam, ell, coeffs, table):
     """
     if (field, tuple(beta), tree) != (table.field, table.beta, table.tree):
         raise ValueError("field, basis or tree does not match the table")
-    field, beta, tree = table.field, table.beta, table.tree
+    field, tree = table.field, table.tree
     _check_convert(kind_from, kind_to, tree, ell)
     coeffs = list(coeffs)
     if len(coeffs) != ell:
@@ -708,25 +713,25 @@ def convert(field, kind_from, kind_to, beta, tree, lam, ell, coeffs, table):
     if kind_from == kind_to:
         return coeffs, counter
     phi_vec = initial_phi_vector(field, tree, table.bases, lam)
-    n = tree.size[0]
 
-    def leg(fam, coeffs):
+    def leg(name, coeffs):
         # The entries and phi_vec are in the field: no per-leg check.
+        fam, args = _args(name, tree, 0, ell, ell, 0)
         buf = _scratch(fam, 0, ell, coeffs, table, counter)
-        _run(fam, 0, _args(fam, n, ell, ell, 0), phi_vec, buf.view(), table)
+        _run(fam, 0, args, phi_vec, buf.view(), table)
         del buf.data[ell:]
         return buf.data
 
     if kind_from in _LEGS:
         into, _, twisted = _LEGS[kind_from]
         if twisted:
-            _twist(field, coeffs, ell, beta[0], counter)
+            _twist(field, coeffs, ell, table.head[0], counter)
         coeffs = leg(into, coeffs)
     if kind_to in _LEGS:
         _, out, twisted = _LEGS[kind_to]
         coeffs = leg(out, coeffs)
         if twisted:
-            _twist(field, coeffs, ell, field.inv(beta[0]), counter)
+            _twist(field, coeffs, ell, table.head_inv[0], counter)
     return coeffs, counter
 
 
@@ -780,8 +785,8 @@ class CountModel:
     def transform(self, name, v, c, ell, b):
         """(additions, multiplications, twist_multiplications) of
         run_transform(name, v, phi_vec, c, ell, b, data, table)."""
-        fam = _FAMILIES[name]
-        return self._count(fam, v, _args(fam, self.tree.size[v], c, ell, b)) + (0,)
+        fam, args = _args(name, self.tree, v, c, ell, b)
+        return self._count(fam, v, args) + (0,)
 
     def nx(self, v, ell):
         """(additions, multiplications) of n2x and of x2n."""
@@ -815,8 +820,9 @@ class CountModel:
         if hit is None:
             hit = (0, 0, 0)
             if kind in _LEGS:
-                fam, twisted = _LEGS[kind][side], _LEGS[kind][2]
-                a, m = self._count(fam, 0, _args(fam, self.tree.size[0], ell, ell, 0))
+                name, twisted = _LEGS[kind][side], _LEGS[kind][2]
+                fam, args = _args(name, self.tree, 0, ell, ell, 0)
+                a, m = self._count(fam, 0, args)
                 hit = (a, m, self.twist(ell) if twisted else 0)
             self._legs[key] = hit
         return hit

@@ -1,17 +1,18 @@
 """The bit-plane layout against the scalar one: outputs, counts, shifts."""
 
 import random
+from itertools import accumulate
+from operator import xor
 
 import pytest
 
 from binbasis import bitslice
 from binbasis.cli import build_basis, build_tree
 from binbasis.field import get_field
-from binbasis.precomp import build_tables, initial_phi_vector
+from binbasis.precomp import build_tables, initial_phi_vector, phi
 from binbasis.transforms import (
     CoeffBuffer,
     CountModel,
-    _FAMILIES,
     _PLANES_MIN_DIM,
     _Scalar,
     _args,
@@ -57,9 +58,8 @@ def calls(table, v, size):
 def execute(table, name, v, phi_vec, c, ell, b, data, planes):
     """One call on a copy of data, forced onto bit-planes or not; returns
     (buffer entries, counter totals)."""
-    fam = _FAMILIES[name]
+    fam, args = _args(name, table.tree, v, c, ell, b)
     nv = table.tree.size[v]
-    args = _args(fam, nv, c, ell, b)
     length = (1 << nv) if fam.full else ell
     buf = CoeffBuffer(list(data) + [0] * (length - len(data)))
     if planes:
@@ -101,9 +101,16 @@ def ruler_shifts(table, v, phi_vec):
     """{(leaf, position): shift} of every leaf call of a full-length call at
     v, derived by the split's ruler rule: row i of an alpha child runs with
     the alpha part of the shift vector advanced after each row j < i by
-    phi_alpha[u][r][ruler_delta(j)] in component r; columns keep the delta
-    part."""
-    tree = table.tree
+    phi_u(leaf r of the alpha child, beta_{u,d} + ... + beta_{u,d+k}) in
+    component r, for k = ruler_delta(j); columns keep the delta part."""
+    tree, field, bases = table.tree, table.field, table.bases
+    steps = {}
+    for u in tree.internal_vertices():
+        a = tree.alpha[u]
+        lo = tree.leaf_start[a]
+        sums = list(accumulate(bases[u][tree.size[a]:], xor))
+        steps[u] = [[phi(field, tree, bases, u, lo + r, s) for s in sums]
+                    for r in range(tree.size[a])]
     out = {}
 
     def visit(u, pos, stride, vec):
@@ -116,7 +123,7 @@ def ruler_shifts(table, v, phi_vec):
         row = list(vec[:d])
         for i in range(1 << tree.size[tree.delta[u]]):
             if i:
-                row = [x ^ sh[ruler_delta(i - 1)] for x, sh in zip(row, table.phi_alpha[u])]
+                row = [x ^ sh[ruler_delta(i - 1)] for x, sh in zip(row, steps[u])]
             visit(a, pos + stride * w * i, stride, row)
         for j in range(w):
             visit(tree.delta[u], pos + stride * j, stride * w, vec[d:])

@@ -144,6 +144,19 @@ def test_counts_calc_agrees_with_execution(capsys, transform):
     assert out.splitlines()[1:] == out_calc.splitlines()[1:]
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("transform", ["n2x", "x2n", "l2x", "x2l", "x2m", "m2x"])
+def test_counts_calc_text_at_leaves(capsys, transform, n):
+    # At n = 1 the root is a leaf, whose replayed cost once printed its
+    # multiplication flag as False/True; the CSV text must match execution.
+    base = ("counts", "--field", "8", "--n", str(n), "--transform", transform)
+    code, out, _ = run(capsys, *base)
+    assert code == 0
+    code, out_calc, _ = run(capsys, *base, "--calc")
+    assert code == 0
+    assert out.splitlines()[1:] == out_calc.splitlines()[1:]
+
+
 def test_counts_convert_has_twist_column(capsys):
     code, out, _ = run(capsys, "counts", "--field", "13", "--basis",
                        "random:7", "--tree", "trivial", "--n", "3",

@@ -108,13 +108,21 @@ def test_inv_rejects_non_elements():
                 f.inv(a)
 
 
-def test_mul_kernel_rejects_non_elements():
+@pytest.mark.parametrize("degree", [16, 32])
+def test_mul_kernel_rejects_non_elements(degree):
     # Above GF(2^16) Field.mul is the windowed kernel.  Unchecked, a negative
     # operand never ends its window loop and one >= 2^m gives a wrong element.
-    f = get_field(32)
-    for a, b in ((3, 1 << 32), (-1, 3), (3, -1), (1 << 32, 1 << 32)):
+    # Up to GF(2^16) the log-table lookup once read -1 as the last log entry
+    # and raised IndexError at 2^m; pow read a negative base the same way.
+    f = get_field(degree)
+    top = 1 << degree
+    for a, b in ((3, top), (-1, 3), (3, -1), (top, top), (0, top), (-1, 0), (0, -3)):
         with pytest.raises(ValueError):
             f.mul(a, b)
+    for a in (-1, top):
+        with pytest.raises(ValueError):
+            f.pow(a, 3)
+    assert f.mul(0, top - 1) == 0 and f.pow(0, 3) == 0
 
 
 def test_mul_matches_raw_path():

@@ -1,4 +1,6 @@
 import random
+from itertools import accumulate
+from operator import xor
 
 import pytest
 
@@ -25,10 +27,11 @@ from binbasis.redtree import (
     enumerate_trees,
     validate,
 )
+from binbasis.transforms import _lin_columns
 
 
 def phi_recursive(field, tree, bases, v, u, lam):
-    # Independent reference for the stored-value checks.
+    # Independent reference for the derived-value checks.
     if tree.is_leaf(v):
         return field.mul(lam, field.inv(bases[v][0]))
     a = tree.alpha[v]
@@ -155,36 +158,46 @@ def test_phi_cantor_delta_kills_low_directions():
                 assert phi(f, tree, bases, v, u, bases[v][i]) == 0
 
 
+def root_shift_columns(table):
+    """Nonzero lam-free shift columns over every leaf of the root: one per
+    pair of leaves, at their lowest common ancestor, where the alpha-side
+    leaf sees the delta-side one's basis element."""
+    tree = table.tree
+    return sum(sum(1 for col in _lin_columns(table, 0, leaf) if col)
+               for leaf in tree.vertices() if tree.is_leaf(leaf))
+
+
 def test_table_sizes():
     f16 = get_field(16)
     table = build_tables(f16, build_cantor_tree(15), construct_cantor(f16, 15))
-    assert table.phi_entry_count() == 105
+    assert root_shift_columns(table) == 105
     f8 = get_field(8)
-    assert build_tables(f8, build_trivial(1), (1,)).phi_entry_count() == 0
+    assert root_shift_columns(build_tables(f8, build_trivial(1), (1,))) == 0
     beta2 = random_basis(f8, 2, random.Random(54))
-    assert build_tables(f8, build_trivial(2), beta2).phi_entry_count() == 1
+    assert root_shift_columns(build_tables(f8, build_trivial(2), beta2)) == 1
     beta = construct_cantor(f8, 6)
     for tree in enumerate_trees(6):
         if validate(f8, tree, beta):
-            assert build_tables(f8, tree, beta).phi_entry_count() == 15
+            assert root_shift_columns(build_tables(f8, tree, beta)) == 15
 
 
 def test_table_values_match_reference():
+    # Column j of a leaf's lam-free shift at vertex v is phi_v(leaf,
+    # beta_{v,j}), and 0 at the leaf's own index.
     f = get_field(12)
     tower = tower_from_string(f, "1-2-4-12")
     beta = construct_tower_basis(f, tower, 10)
     tree = build_max_tree(10, tower.degrees)
     table = build_tables(f, tree, beta)
-    for v in tree.internal_vertices():
-        a = tree.alpha[v]
-        lo = tree.leaf_start[a]
-        for r in range(tree.size[a]):
-            for i, s in enumerate(table.sigma[v]):
-                assert table.phi_alpha[v][r][i] == \
-                    phi_recursive(f, tree, table.bases, v, lo + r, s)
-        assert table.sigma[v] == tuple(
-            enumerate_point(table.bases[v][tree.d_of(v):], (2 << i) - 1)
-            for i in range(len(table.sigma[v])))
+    for v in tree.vertices():
+        lo = tree.leaf_start[v]
+        for leaf in tree.vertices():
+            u = tree.leaf_start[leaf]
+            if not tree.is_leaf(leaf) or not lo <= u < lo + tree.size[v]:
+                continue
+            want = [phi_recursive(f, tree, table.bases, v, u, b) for b in table.bases[v]]
+            want[u - lo] = 0
+            assert _lin_columns(table, v, leaf) == want, (v, leaf)
 
 
 def test_cantor_delta_heads_are_one():
@@ -222,6 +235,8 @@ def test_gray_telescoping():
         table = build_tables(f, tree, beta)
         for v in tree.internal_vertices():
             gamma = table.bases[v][tree.d_of(v):]
+            # sigma_j = gamma_0 + ... + gamma_j, the ruler-step increments.
+            sigma = list(accumulate(gamma, xor))
             acc = 0
             for i in range(1 << len(gamma)):
                 assert acc == enumerate_point(gamma, i)
@@ -229,7 +244,7 @@ def test_gray_telescoping():
                     j = 0
                     while (i >> j) & 1:
                         j += 1
-                    acc ^= table.sigma[v][j]
+                    acc ^= sigma[j]
 
 
 def test_initial_phi_vector():
@@ -247,3 +262,5 @@ def test_initial_phi_vector():
     v2 = initial_phi_vector(f, tree, bases, l2)
     v12 = initial_phi_vector(f, tree, bases, l1 ^ l2)
     assert v12 == [a ^ b for a, b in zip(v1, v2)]
+    with pytest.raises(ValueError):
+        initial_phi_vector(f, tree, bases, -1)

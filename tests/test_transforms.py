@@ -747,3 +747,27 @@ def test_internal_child_group_range_check(family):
         with pytest.raises(ValueError, match="group exceeds parent view"):
             _walk(_Scalar(table, 0, [3] * n, buf), fam, 0, {(size - 1,): 1}, 0)
         assert buf.data == data
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_bad_transform_names_and_vertices_raise_value_error(n):
+    # An unknown name once raised KeyError, vertex -1 ran at the last vertex
+    # (or counted nothing), and a vertex past the tree raised IndexError.
+    table = build_tables(GF8, build_cantor_tree(n), construct_cantor(GF8, n))
+    model = CountModel(table)
+    with pytest.raises(ValueError, match="unknown transform 'foo'"):
+        run_transform("foo", 0, [1] * n, 2, 2, 0, [0, 0], table)
+    with pytest.raises(ValueError, match="unknown transform 'foo'"):
+        model.transform("foo", 0, 2, 2, 0)
+    vertices = len(table.tree.size)
+    for v in (-1, vertices, vertices + 4):
+        message = f"vertex {v} out of range"
+        for name in ("n2x", "x2n", "l2x", "x2l", "x2m", "m2x"):
+            with pytest.raises(ValueError, match=message):
+                run_transform(name, v, [1], 1, 1, 0, [0], table)
+            with pytest.raises(ValueError, match=message):
+                model.transform(name, v, 1, 1, 0)
+        with pytest.raises(ValueError, match=message):
+            n2x(v, [1], 1, CoeffBuffer([0]).view(), table)
+        with pytest.raises(ValueError, match=message):
+            x2m(v, 1, CoeffBuffer([0]).view(), table)
