@@ -96,17 +96,9 @@ def construct_gen_cantor(field, m_levels, t, theta):
     if not is_independent(theta):
         raise ValueError("coefficient-field basis entries are dependent")
 
-    # Deterministic trace preimage: first power of the degree-`size` subfield
-    # generator with nonzero trace, normalized so its trace is exactly 1.
-    # GF(2^t)-linearity of the trace then prescribes the whole top block.
-    xi = field.subfield_generator(size)
-    z = 1
-    while True:
-        tr = field.trace_rel(z, t, size)
-        if tr:
-            break
-        z = field.mul(z, xi)
-    z = field.mul(z, field.inv(tr))
+    # GF(2^t)-linearity of the trace prescribes the whole top block from one
+    # element of trace 1.
+    z = _trace_one(field, t, size)
 
     beta = [0] * size
     for i in range(t):
@@ -224,14 +216,19 @@ def make_quadratic_trace_basis(field, s):
     e = 2 * s
     if field.degree % e:
         raise ValueError(f"GF(2^{e}) is not a subfield of GF(2^{field.degree})")
-    xi = field.subfield_generator(e)
+    return (1, _trace_one(field, s, e))
+
+
+def _trace_one(field, sub, sup):
+    """An element of GF(2^sup) whose trace down to GF(2^sub) is 1: the first
+    power of the subfield generator with nonzero trace, divided by it."""
+    xi = field.subfield_generator(sup)
     z = 1
     while True:
-        tr = field.trace_rel(z, s, e)
+        tr = field.trace_rel(z, sub, sup)
         if tr:
-            break
+            return field.mul(z, field.inv(tr))
         z = field.mul(z, xi)
-    return (1, field.mul(z, field.inv(tr)))
 
 
 def subfield_basis_powers(field, d_sub, d_sup):

@@ -12,11 +12,11 @@ Taylor level is two masked shift-XOR passes.
 
 The shift of a leaf call at position p is phi_vec[L] ^ lin_L(p) for its
 leaf L, with lin_L GF(2)-linear in the bits of p; transforms._lin_columns
-derives its value at each bit from the vertex bases.  The m planes of lin_L
-depend on the table and the start vertex only, so the table caches them on
-first use; a call adds its own base.  The scalar layout in
-transforms runs the same walk and charges the same counts, and stays the
-reference.
+gives its value at each bit for every leaf under the start vertex.  The m
+planes of lin_L depend on the table and the start vertex only, so the
+first call at a vertex builds them for all its leaves and the table keeps
+them; a call adds its own base.  The scalar layout in transforms runs the
+same walk and charges the same counts, and stays the reference.
 """
 
 import sys
@@ -82,18 +82,20 @@ def _product(a, b, taps):
     return z[:m]
 
 
-def leaf_planes(table, v, leaf):
-    """The m planes of lin_leaf over the 2^n_v positions of a call at v; built
-    once per (v, leaf) from transforms._lin_columns and kept by the table."""
-    key = (v, leaf)
-    planes = table.leaf_planes.get(key)
+def leaf_planes(table, v):
+    """The m planes of lin_L over the 2^n_v positions of a call at v, for
+    each leaf L under v by leaf offset; built from transforms._lin_columns
+    at the first call at v and kept by the table."""
+    planes = table.leaf_planes.get(v)
     if planes is None:
-        planes, width = [0] * table.field.degree, 1
-        for col in _lin_columns(table, v, leaf):
-            ones = (1 << width) - 1
-            planes = [p | (p ^ ones if col >> b & 1 else p) << width for b, p in enumerate(planes)]
-            width <<= 1
-        table.leaf_planes[key] = planes
+        planes = table.leaf_planes[v] = []
+        for cols in _lin_columns(table, v):
+            lin, width = [0] * table.field.degree, 1
+            for col in cols:
+                ones = (1 << width) - 1
+                lin = [p | (p ^ ones if col >> b & 1 else p) << width for b, p in enumerate(lin)]
+                width <<= 1
+            planes.append(lin)
     return planes
 
 
@@ -141,8 +143,8 @@ class _Planes:
         shift = self.shifts.get(leaf)
         if shift is None:
             tree = self.table.tree
-            base = self.phi_vec[tree.leaf_start[leaf] - tree.leaf_start[self.start]]
-            lin = leaf_planes(self.table, self.start, leaf)
+            i = tree.leaf_start[leaf] - tree.leaf_start[self.start]
+            base, lin = self.phi_vec[i], leaf_planes(self.table, self.start)[i]
             ones = (1 << (1 << tree.size[self.start])) - 1
             shift = self.shifts[leaf] = [p ^ ones if base >> b & 1 else p
                                          for b, p in enumerate(lin)]

@@ -144,6 +144,8 @@ def build_basis(field, source, n):
         beta = basis_from_string(source.split(":", 1)[1])
         if len(beta) != n:
             raise ValueError(f"explicit basis has {len(beta)} entries, expected {n}")
+        if max(beta) >= field.order:
+            raise ValueError(f"explicit basis entry outside GF(2^{field.degree})")
         if not is_independent(beta):
             raise ValueError("explicit basis entries are dependent")
         return beta
@@ -169,7 +171,10 @@ def build_tree(strategy, n):
         base = [build_trivial(min(t, n - i * t)) for i in range(blocks)]
         return graft_cantor_tree(t, n, base)
     if strategy.startswith("explicit:"):
-        return ReductionTree.parse(strategy.split(":", 1)[1])
+        tree = ReductionTree.parse(strategy.split(":", 1)[1])
+        if tree.n != n:
+            raise ValueError(f"explicit tree has {tree.n} leaves, expected {n}")
+        return tree
     raise ValueError(f"unknown tree strategy {strategy!r}")
 
 

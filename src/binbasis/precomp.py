@@ -1,12 +1,14 @@
-"""Per-vertex bases and the shift maps of a reduction tree.
+"""Per-vertex bases and the shift map of a reduction tree.
 
 Each vertex v of a reduction tree carries its own basis beta_v: the root
 keeps the input basis, an alpha child takes the length-d prefix, and a delta
 child takes the image of the suffix under q -> q^(2^d) - q.  The map
-phi_v(u, lam) transports an evaluation shift lam down to leaf u of v's
-subtree.  It is GF(2)-linear in lam, so the transforms need it only at the
-basis elements of v; they derive those values from the bases and heads kept
-here when a call first needs them (transforms._lin_columns).
+phi_v(u, lam) carries an evaluation shift lam down the same tree to leaf u
+of v's subtree, and transport is the one place that computes it: one pass
+down v's subtree yields phi_v at every leaf for a list of values at once.
+initial_phi_vector runs it on lam at the root.  phi_v is GF(2)-linear in
+lam, so the transforms run it on the basis of a start vertex to get the
+lam-free part of every leaf shift (transforms._lin_columns).
 """
 
 from binbasis.basisgen import is_independent
@@ -24,25 +26,19 @@ def compute_vertex_bases(field, tree, beta):
     return tuple(bases)
 
 
-def phi(field, tree, bases, v, u, lam):
-    """Shift lam at vertex v transported to leaf u of v's subtree.
+def transport(field, tree, head_inv, v, values):
+    """phi_v(u, x) for each x in values, at every leaf u under v.
 
-    u is a global leaf index.  At a leaf the value is lam/beta_{v,0}; alpha
-    children inherit lam unchanged, delta children map it through
-    q -> q^(2^d) - q with q = lam/beta_{v,0}.
+    One list per leaf, leftmost leaf first.  Each vertex divides the values
+    by its head: a leaf keeps the quotients q, an alpha child takes the
+    values unchanged and a delta child takes q^(2^d) - q.
     """
-    lo = tree.leaf_start[v]
-    if not lo <= u < lo + tree.size[v]:
-        raise ValueError(f"leaf {u} is not under vertex {v}")
-    while not tree.is_leaf(v):
-        a = tree.alpha[v]
-        if u < tree.leaf_start[a] + tree.size[a]:
-            v = a
-        else:
-            q = field.mul(lam, field.inv(bases[v][0]))
-            lam = field.pow2k(q, tree.d_of(v)) ^ q
-            v = tree.delta[v]
-    return field.mul(lam, field.inv(bases[v][0]))
+    qs = [field.mul(x, head_inv[v]) for x in values]
+    if tree.is_leaf(v):
+        return [qs]
+    d = tree.d_of(v)
+    return (transport(field, tree, head_inv, tree.alpha[v], values)
+            + transport(field, tree, head_inv, tree.delta[v], [field.pow2k(q, d) ^ q for q in qs]))
 
 
 class PrecompTable:
@@ -53,10 +49,12 @@ class PrecompTable:
       head       beta_{v,0}
       head_inv   1/beta_{v,0}
 
-    Only leaf_lin and leaf_planes change after construction: they start
-    empty, and the executors add the lam-free leaf shifts of each (start
-    vertex, leaf) they run, as values in the scalar layout and as bit-planes
-    in the other.  A table used only for counts never fills them.
+    Only leaf_lin and leaf_planes change after construction.  Both are keyed
+    by start vertex and start empty; the first call that starts at a vertex
+    in a layout stores the lam-free leaf shifts of every leaf under it, as
+    a list indexed by leaf offset (leaf_start[leaf] - leaf_start[v]): values
+    in the scalar layout and bit-planes in the other.  A table used only for
+    counts never fills them.
     """
 
     __slots__ = ("field", "tree", "beta", "bases", "head", "head_inv",
@@ -91,7 +89,7 @@ def build_tables(field, tree, beta):
 
 def initial_phi_vector(field, tree, bases, lam):
     """(phi_root(u, lam)) over all leaves u; the zero vector when lam is 0."""
-    n = tree.size[0]
     if lam == 0:
-        return [0] * n
-    return [phi(field, tree, bases, 0, u, lam) for u in range(n)]
+        return [0] * tree.size[0]
+    head_inv = [field.inv(b[0]) for b in bases]
+    return [x for (x,) in transport(field, tree, head_inv, 0, [lam])]

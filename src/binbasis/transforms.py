@@ -17,9 +17,10 @@ hands the leaf, Taylor and scaling steps to a kernel layout chosen by the
 size of the called vertex.  Below 2^9 entries _Scalar keeps the entries in
 the buffer's list and multiplies entry by entry; from 2^9 up bitslice holds
 them as m bit-planes.  In both, a batch is a mask of start positions and a
-leaf call's shift is its base plus a lam-free value, derived from the vertex
-bases on first use and cached by the table.  The scalar kernels are the
-reference the tests hold the bit-plane ones to.
+leaf call's shift is its base plus a lam-free value.  The first call at a
+start vertex derives those values for every leaf under it in one pass of
+precomp.transport over the vertex basis, and the table caches them.  The
+scalar kernels are the reference the tests hold the bit-plane ones to.
 
 Each transform is described once, by a family record: its split, the
 steps of its leaf calls, its scratch and phase order, and how (c, ell, b)
@@ -34,7 +35,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import compress
 
-from binbasis.precomp import initial_phi_vector
+from binbasis.precomp import initial_phi_vector, transport
 
 BASIS_KINDS = ("monomial", "newton", "lagrange", "lch")
 
@@ -363,30 +364,20 @@ def _walk(lay, fam, v, batches, e):
             lay.taylor(w, ell, mask, e, False)
 
 
-def _lin_columns(table, v, leaf):
-    """lin_leaf(2^j) for each bit j of a position in a call at vertex v.
+def _lin_columns(table, v):
+    """lin_L(2^j) for each bit j of a position in a call at vertex v, one
+    list per leaf L under v, leftmost leaf first.
 
-    The shift of the leaf call at position p is phi_vec[leaf] ^ lin_leaf(p),
-    with lin_leaf(p) phi_v at the point of span(beta_v) at the bits of p.
-    phi_v is GF(2)-linear, so column j is phi_v(leaf, beta_{v,j}), except at
-    the leaf's own bit: it marks x1 of the butterflies, where no call
-    starts, and its column is 0.  Both layouts build their lam-free shifts
-    from these columns.
+    The shift of the leaf call at position p is phi_vec[L] ^ lin_L(p), with
+    lin_L(p) phi_v at the point of span(beta_v) at the bits of p.  phi_v is
+    GF(2)-linear, so column j is phi_v(L, beta_{v,j}), except at the leaf's
+    own bit: leaf i marks x1 of the butterflies with bit i, where no call
+    starts, and its column i is 0.  Both layouts build their lam-free
+    shifts from these columns.
     """
-    tree, field, head_inv = table.tree, table.field, table.head_inv
-    target = tree.leaf_start[leaf]
-    cols = list(table.bases[v])
-    u = v
-    while u != leaf:
-        a = tree.alpha[u]
-        if target < tree.leaf_start[a] + tree.size[a]:
-            u = a
-        else:
-            qs = [field.mul(x, head_inv[u]) for x in cols]
-            cols = [field.pow2k(q, tree.size[a]) ^ q for q in qs]
-            u = tree.delta[u]
-    cols = [field.mul(x, head_inv[leaf]) for x in cols]
-    cols[target - tree.leaf_start[v]] = 0
+    cols = transport(table.field, table.tree, table.head_inv, v, table.bases[v])
+    for i, row in enumerate(cols):
+        row[i] = 0
     return cols
 
 
@@ -415,15 +406,18 @@ class _Scalar:
     def leaves(self, fam, leaf, batches, gap):
         table = self.table
         tree = table.tree
-        # lin_leaf at every position, built once per (start, leaf).
-        key = (self.start, leaf)
-        lin = table.leaf_lin.get(key)
-        if lin is None:
-            lin = [0]
-            for col in _lin_columns(table, *key):
-                lin += [x ^ col for x in lin]
-            table.leaf_lin[key] = lin
-        base = self.phi_vec[tree.leaf_start[leaf] - tree.leaf_start[self.start]]
+        # lin_L at every position, built for every leaf L under the start
+        # vertex at its first call.
+        lins = table.leaf_lin.get(self.start)
+        if lins is None:
+            lins = table.leaf_lin[self.start] = []
+            for cols in _lin_columns(table, self.start):
+                lin = [0]
+                for col in cols:
+                    lin += [x ^ col for x in lin]
+                lins.append(lin)
+        i = tree.leaf_start[leaf] - tree.leaf_start[self.start]
+        lin, base = lins[i], self.phi_vec[i]
         data, mul = self.buf.data, table.field.mul
         # Each step of a batch is one loop over its calls' offsets p.
         for args, mask in batches.items():

@@ -387,9 +387,7 @@ def test_criterion_8_construction_properties():
         def root_shift_columns(table):
             # Nonzero lam-free shift columns over the root's leaves: one per
             # pair of leaves, at their lowest common ancestor.
-            tree = table.tree
-            return sum(sum(1 for col in _lin_columns(table, 0, leaf) if col)
-                       for leaf in tree.vertices() if tree.is_leaf(leaf))
+            return sum(sum(1 for col in cols if col) for cols in _lin_columns(table, 0))
 
         for n in range(2, 7):
             beta = construct_cantor(GF8, n)

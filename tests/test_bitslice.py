@@ -9,7 +9,7 @@ import pytest
 from binbasis import bitslice
 from binbasis.cli import build_basis, build_tree
 from binbasis.field import get_field
-from binbasis.precomp import build_tables, initial_phi_vector, phi
+from binbasis.precomp import build_tables, initial_phi_vector, transport
 from binbasis.transforms import (
     CoeffBuffer,
     CountModel,
@@ -107,10 +107,8 @@ def ruler_shifts(table, v, phi_vec):
     steps = {}
     for u in tree.internal_vertices():
         a = tree.alpha[u]
-        lo = tree.leaf_start[a]
         sums = list(accumulate(bases[u][tree.size[a]:], xor))
-        steps[u] = [[phi(field, tree, bases, u, lo + r, s) for s in sums]
-                    for r in range(tree.size[a])]
+        steps[u] = transport(field, tree, table.head_inv, u, sums)[:tree.size[a]]
     out = {}
 
     def visit(u, pos, stride, vec):
@@ -151,12 +149,13 @@ def test_leaf_planes_equal_scalar_shifts(config):
             # A scalar call at v fills the table's lam-free values for v.
             execute(table, "l2x", v, phi_vec, 1 << nv, 1 << nv, 0, [1] * (1 << nv), False)
             for (leaf, p), shift in want.items():
-                base = phi_vec[tree.leaf_start[leaf] - tree.leaf_start[v]]
-                lin = table.leaf_lin[v, leaf][p]
-                planes = bitslice.leaf_planes(table, v, leaf)
+                i = tree.leaf_start[leaf] - tree.leaf_start[v]
+                base, lin = phi_vec[i], table.leaf_lin[v][i][p]
+                planes = bitslice.leaf_planes(table, v)[i]
                 assert lin == sum((plane >> p & 1) << bit for bit, plane in enumerate(planes))
                 assert base ^ lin == shift, (v, leaf, p)
-    assert all(len(planes) == field.degree for planes in table.leaf_planes.values())
+    assert all(len(planes) == field.degree
+               for lins in table.leaf_planes.values() for planes in lins)
 
 
 @pytest.mark.parametrize("m", range(1, 33))

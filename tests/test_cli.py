@@ -49,6 +49,25 @@ def test_construct_errors(capsys):
     code, _, err = run(capsys, "construct", "--field", "8",
                        "--basis", "mystery", "--n", "3")
     assert code == 1 and "mystery" in err
+    # An explicit entry must be an element of the field.
+    for argv in (("construct",), ("trees", "--strategy", "trivial")):
+        code, out, err = run(capsys, *argv, "--field", "16", "--n", "1",
+                             "--basis", "explicit:10000")
+        assert code == 1 and out == ""
+        assert err.startswith("ERROR: ") and err.count("\n") == 1
+        assert "GF(2^16)" in err
+
+
+def test_explicit_tree_leaf_count_errors(capsys):
+    # An explicit tree with the wrong number of leaves is a bad tree, not a
+    # bad basis: one ERROR: line naming both counts.
+    for argv in (("counts", "--field", "8", "--n", "3", "--tree", "explicit:(*,*)"),
+                 ("trees", "--strategy", "explicit:((*,*),*)", "--field", "8", "--n", "2"),
+                 ("verify", "--field", "8", "--n", "2", "--tree", "explicit:((*,*),*)")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("ERROR: explicit tree has ") and err.count("\n") == 1, argv
+        assert "expected" in err
 
 
 def test_trees_list_and_validate(capsys):

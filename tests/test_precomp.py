@@ -17,7 +17,7 @@ from binbasis.precomp import (
     build_tables,
     compute_vertex_bases,
     initial_phi_vector,
-    phi,
+    transport,
 )
 from binbasis.redtree import (
     ReductionTree,
@@ -85,18 +85,21 @@ def pow_chain(field, g, n):
         x = field.mul(x, g)
 
 
+def heads_inv(field, bases):
+    return [field.inv(b[0]) for b in bases]
+
+
 def test_phi_leaf_and_zero():
     f = get_field(12)
     rng = random.Random(51)
     beta = random_basis(f, 4, rng)
     tree = build_trivial(4)
     bases = compute_vertex_bases(f, tree, beta)
-    for u in range(4):
-        assert phi(f, tree, bases, 0, u, 0) == 0
+    hinv = heads_inv(f, bases)
+    assert transport(f, tree, hinv, 0, [0]) == [[0]] * 4
     leaf = tree.alpha[0]
     lam = rng.randrange(f.order)
-    assert phi(f, tree, bases, leaf, tree.leaf_start[leaf], lam) == \
-        f.mul(lam, f.inv(bases[leaf][0]))
+    assert transport(f, tree, hinv, leaf, [lam]) == [[f.mul(lam, f.inv(bases[leaf][0]))]]
 
 
 def test_phi_is_linear():
@@ -105,12 +108,14 @@ def test_phi_is_linear():
     beta = random_basis(f, 5, rng)
     tree = build_trivial(5)
     bases = compute_vertex_bases(f, tree, beta)
+    hinv = heads_inv(f, bases)
     for _ in range(10):
         l1 = rng.randrange(f.order)
         l2 = rng.randrange(f.order)
-        for u in range(5):
-            assert phi(f, tree, bases, 0, u, l1 ^ l2) == \
-                phi(f, tree, bases, 0, u, l1) ^ phi(f, tree, bases, 0, u, l2)
+        rows = transport(f, tree, hinv, 0, [l1, l2, l1 ^ l2])
+        assert len(rows) == 5
+        for x1, x2, x12 in rows:
+            assert x12 == x1 ^ x2
 
 
 def test_phi_delegation_cases():
@@ -118,30 +123,27 @@ def test_phi_delegation_cases():
     beta = construct_cantor(f, 6)
     tree = build_cantor_tree(6)
     bases = compute_vertex_bases(f, tree, beta)
+    hinv = heads_inv(f, bases)
     rng = random.Random(53)
     v = 0
     a, d = tree.alpha[v], tree.delta[v]
     dv = tree.d_of(v)
     for _ in range(5):
         lam = rng.randrange(f.order)
-        for u in range(tree.size[0]):
-            if u < tree.leaf_start[a] + tree.size[a]:
-                assert phi(f, tree, bases, v, u, lam) == \
-                    phi(f, tree, bases, a, u, lam)
-            else:
-                q = f.mul(lam, f.inv(bases[v][0]))
-                mapped = f.pow2k(q, dv) ^ q
-                assert phi(f, tree, bases, v, u, lam) == \
-                    phi(f, tree, bases, d, u, mapped)
+        q = f.mul(lam, f.inv(bases[v][0]))
+        mapped = f.pow2k(q, dv) ^ q
+        assert transport(f, tree, hinv, v, [lam]) == \
+            transport(f, tree, hinv, a, [lam]) + transport(f, tree, hinv, d, [mapped])
 
 
-def test_phi_rejects_foreign_leaf():
+def test_phi_transport_one_row_per_leaf():
     f = get_field(8)
     beta = construct_cantor(f, 3)
     tree = build_trivial(3)
     bases = compute_vertex_bases(f, tree, beta)
-    with pytest.raises(ValueError):
-        phi(f, tree, bases, tree.delta[0], 0, 1)
+    hinv = heads_inv(f, bases)
+    for v in tree.vertices():
+        assert len(transport(f, tree, hinv, v, [1, 2])) == tree.size[v]
 
 
 def test_phi_cantor_delta_kills_low_directions():
@@ -149,22 +151,19 @@ def test_phi_cantor_delta_kills_low_directions():
     beta = construct_cantor(f, 8)
     tree = build_cantor_tree(8)
     bases = compute_vertex_bases(f, tree, beta)
+    hinv = heads_inv(f, bases)
     for v in tree.internal_vertices():
         dv = tree.d_of(v)
-        dchild = tree.delta[v]
-        lo = tree.leaf_start[dchild]
-        for u in range(lo, lo + tree.size[dchild]):
-            for i in range(dv):
-                assert phi(f, tree, bases, v, u, bases[v][i]) == 0
+        rows = transport(f, tree, hinv, v, bases[v][:dv])
+        # The delta child's leaves come after the alpha child's dv leaves.
+        assert rows[dv:] and all(x == 0 for row in rows[dv:] for x in row)
 
 
 def root_shift_columns(table):
     """Nonzero lam-free shift columns over every leaf of the root: one per
     pair of leaves, at their lowest common ancestor, where the alpha-side
     leaf sees the delta-side one's basis element."""
-    tree = table.tree
-    return sum(sum(1 for col in _lin_columns(table, 0, leaf) if col)
-               for leaf in tree.vertices() if tree.is_leaf(leaf))
+    return sum(sum(1 for col in cols if col) for cols in _lin_columns(table, 0))
 
 
 def test_table_sizes():
@@ -183,21 +182,25 @@ def test_table_sizes():
 
 def test_table_values_match_reference():
     # Column j of a leaf's lam-free shift at vertex v is phi_v(leaf,
-    # beta_{v,j}), and 0 at the leaf's own index.
-    f = get_field(12)
-    tower = tower_from_string(f, "1-2-4-12")
-    beta = construct_tower_basis(f, tower, 10)
-    tree = build_max_tree(10, tower.degrees)
-    table = build_tables(f, tree, beta)
-    for v in tree.vertices():
-        lo = tree.leaf_start[v]
-        for leaf in tree.vertices():
-            u = tree.leaf_start[leaf]
-            if not tree.is_leaf(leaf) or not lo <= u < lo + tree.size[v]:
-                continue
-            want = [phi_recursive(f, tree, table.bases, v, u, b) for b in table.bases[v]]
-            want[u - lo] = 0
-            assert _lin_columns(table, v, leaf) == want, (v, leaf)
+    # beta_{v,j}), and 0 at the leaf's own index.  GF(2^32) random/trivial
+    # has a head other than 1 at every vertex and multiplies by the windowed
+    # kernel.
+    f12, f32 = get_field(12), get_field(32)
+    tower = tower_from_string(f12, "1-2-4-12")
+    cases = ((f12, build_max_tree(10, tower.degrees), construct_tower_basis(f12, tower, 10)),
+             (f32, build_trivial(8), random_basis(f32, 8, random.Random(57))))
+    for f, tree, beta in cases:
+        table = build_tables(f, tree, beta)
+        if f is f32:
+            assert all(h != 1 for h in table.head)
+        for v in tree.vertices():
+            lo = tree.leaf_start[v]
+            cols = _lin_columns(table, v)
+            assert len(cols) == tree.size[v]
+            for u in range(lo, lo + tree.size[v]):
+                want = [phi_recursive(f, tree, table.bases, v, u, b) for b in table.bases[v]]
+                want[u - lo] = 0
+                assert cols[u - lo] == want, (f.degree, v, u)
 
 
 def test_cantor_delta_heads_are_one():
@@ -262,5 +265,6 @@ def test_initial_phi_vector():
     v2 = initial_phi_vector(f, tree, bases, l2)
     v12 = initial_phi_vector(f, tree, bases, l1 ^ l2)
     assert v12 == [a ^ b for a, b in zip(v1, v2)]
+    assert v1 == [phi_recursive(f, tree, bases, 0, u, l1) for u in range(5)]
     with pytest.raises(ValueError):
         initial_phi_vector(f, tree, bases, -1)
