@@ -1,14 +1,26 @@
 """Bit-plane kernels for the transforms, in the McBits layout.
 
 A view of N entries of GF(2^m) is held as m bit-planes: plane b is one
-Python int whose bit p is bit b of entry p.  transforms._walk runs the
-splits and hands each batch, a mask of start positions at one stride, to
-the kernels here.  A level of butterflies then costs a fixed number of
-shifts, masks and XORs per plane, whatever the batch size, and a lane-wise
-product is an m x m AND/XOR schoolbook on planes reduced by the modulus
-taps.  At a leaf, each of the family's leaf steps is one masked pass over
-the lanes of every batch that runs it, so one product serves them all; a
-Taylor level is two masked shift-XOR passes.
+Python int whose bit p is bit b of entry p.  to_planes packs the entries
+into w-bit words (w = 8, 16, 32 or 64, the smallest that holds m bits)
+with one struct call, reads them as one int and transposes every w x w
+bit block of it at once, in log2(w) masked swap steps; plane b is then
+the words k*w + b of every block k, gathered by byte slicing.  The packing
+rejects a negative entry or one of w bits or more, and planes m..w-1 must
+come out zero, so the transposition is also the range check of the
+entries.  from_planes scatters the planes into words and runs the same
+transpose, which is its own inverse.  run moves one call's view in and
+out; run_legs moves a convert's vector in once, runs both legs on that
+one plane set and moves it back once.
+
+transforms._walk runs the splits and hands each batch, a mask of start
+positions at one stride, to the kernels here.  A level of butterflies
+then costs a fixed number of shifts, masks and XORs per plane, whatever
+the batch size, and a lane-wise product is an m x m AND/XOR schoolbook on
+planes reduced by the modulus taps.  At a leaf, each of the family's leaf
+steps is one masked pass over the lanes of every batch that runs it, so
+one product serves them all; a Taylor level is two masked shift-XOR
+passes.
 
 The shift of a leaf call at position p is phi_vec[L] ^ lin_L(p) for its
 leaf L, with lin_L GF(2)-linear in the bits of p; transforms._lin_columns
@@ -19,49 +31,76 @@ them; a call adds its own base.  The scalar layout in transforms runs the
 same walk and charges the same counts, and stays the reference.
 """
 
-import sys
-from array import array
-from functools import reduce
+import struct
+from functools import lru_cache, reduce
 from operator import and_, xor
 
-from binbasis.transforms import (_BITS, _lin_columns, _repunit, _scale_muls, _taylor_adds,
+from binbasis.transforms import (_lin_columns, _repunit, _scale_muls, _taylor_adds,
                                  _taylor_levels, _walk)
 
-# _CHARS[j] maps a byte to ASCII '1' where its bit j is set, else '0'.
-_CHARS = tuple(bytes(48 + (x >> j & 1) for x in range(256)) for j in range(8))
+
+def _word(m):
+    """(struct code, width w) of the smallest unsigned word, of 8 bits or
+    more, that holds m bits."""
+    w = max(8, 1 << (m - 1).bit_length())
+    return "BHIQ"[w.bit_length() - 4], w
 
 
-def _typecode(m):
-    """An array typecode whose items hold m bits."""
-    return next(code for code in "BHILQ" if array(code).itemsize * 8 >= m)
+@lru_cache(maxsize=16)
+def _masks(w, blocks):
+    """(d, mask) of each step of the transpose of a run of w x w bit
+    blocks: step j swaps bit (r, c) = r*w + c of every block, where bit j
+    of r is clear and bit j of c set, with bit (r + 2^j, c - 2^j), d bits
+    above.  The masks are only ANDed, so those of more blocks serve fewer;
+    _transpose asks for a power of two blocks."""
+    steps = []
+    for j in (1 << k for k in range(w.bit_length() - 1)):
+        cols = sum(1 << c for c in range(w) if c & j)
+        block = sum(cols << w * r for r in range(w) if not r & j)
+        steps.append((j * (w - 1), block * _repunit(blocks, w * w)))
+    return steps
+
+
+def _transpose(x, w, size):
+    """x, read as size w-bit words, with each block of w words transposed
+    as a w x w bit matrix; the transpose is its own inverse."""
+    for d, mask in _masks(w, 1 << (size // w - 1).bit_length()):
+        t = (x ^ x >> d) & mask
+        x ^= t ^ t << d
+    return x
 
 
 def to_planes(values, m):
-    """The m bit-planes of values, elements of GF(2^m)."""
-    raw = array(_typecode(m), values)
-    size = raw.itemsize
-    if sys.byteorder == "big":
-        raw.byteswap()
-    raw = raw.tobytes()
-    return [int(raw[b >> 3::size].translate(_CHARS[b & 7])[::-1], 2) for b in range(m)]
+    """The m bit-planes of values, elements of GF(2^m); ValueError if any
+    value is not one."""
+    code, w = _word(m)
+    size = -(-len(values) // w) * w
+    try:
+        raw = struct.pack(f"<{len(values)}{code}", *values)
+    except struct.error:
+        raise ValueError(f"data entry outside GF(2^{m})") from None
+    # Bit p*w + b is bit b of entry p; after the transpose, word k*w + b
+    # holds plane b over entries k*w..k*w + w - 1.
+    x = _transpose(int.from_bytes(raw, "little"), w, size)
+    words = memoryview(x.to_bytes(size * w >> 3, "little")).cast(code)
+    planes = [int.from_bytes(words[b::w], "little") for b in range(w)]
+    if any(planes[m:]):
+        raise ValueError(f"data entry outside GF(2^{m})")
+    return planes[:m]
 
 
 def from_planes(planes, m, count):
-    """The first count values held by m bit-planes; inverse of to_planes."""
-    out = array(_typecode(m))
-    size = out.itemsize
-    raw = bytearray(size * count)
-    for k in range(0, m, 8):
-        # One byte per entry: bit j of byte p is bit k + j of entry p.
-        acc = 0
-        for j, plane in enumerate(planes[k:k + 8]):
-            bits = format(plane, f"0{count}b").encode()[::-1].translate(_BITS)
-            acc |= int.from_bytes(bits, "little") << j
-        raw[k >> 3::size] = acc.to_bytes(count, "little")
-    out.frombytes(raw)
-    if sys.byteorder == "big":
-        out.byteswap()
-    return out.tolist()
+    """The first count values held by m bit-planes, whose bits at and above
+    count are ignored; inverse of to_planes."""
+    code, w = _word(m)
+    size = -(-count // w) * w
+    keep = (1 << count) - 1
+    raw = bytearray(size * w >> 3)
+    words = memoryview(raw).cast(code)
+    for b, plane in enumerate(planes):
+        words[b::w] = memoryview((plane & keep).to_bytes(size >> 3, "little")).cast(code)
+    x = _transpose(int.from_bytes(raw, "little"), w, size)
+    return list(struct.unpack_from(f"<{count}{code}", x.to_bytes(size * w >> 3, "little")))
 
 
 # _TERMS[m][k] slices the factors of the degree-k terms of an m x m
@@ -100,12 +139,28 @@ def leaf_planes(table, v):
 
 
 def run(fam, v, args, phi_vec, view, table):
-    """One call of fam at vertex v on the view, on bit-planes."""
+    """One call of fam at vertex v on the view, on bit-planes; ValueError,
+    with the view unchanged, if an entry is outside the field."""
     data = view.buffer.data
     m = table.field.degree
     lay = _Planes(table, v, phi_vec, view.buffer.counter, to_planes(data[:view.length], m))
     _walk(lay, fam, v, {args: 1}, 0)
     data[:view.length] = from_planes(lay.planes, m, view.length)
+
+
+def run_legs(legs, ell, phi_vec, values, table, counter):
+    """convert's legs, each (family, args) of a call at the root, one after
+    another on one plane set; returns the first ell values.  The values are
+    transposed in and out once, and after each leg the lanes at ell and up
+    are cleared, as truncating the buffer to ell entries would.  ValueError
+    if a value is outside the field."""
+    m = table.field.degree
+    lay = _Planes(table, 0, phi_vec, counter, to_planes(values, m))
+    keep = (1 << ell) - 1
+    for fam, args in legs:
+        _walk(lay, fam, 0, {args: 1}, 0)
+        lay.planes = [plane & keep for plane in lay.planes]
+    return from_planes(lay.planes, m, ell)
 
 
 class _Planes:

@@ -49,6 +49,10 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+# The keys of a config string, in the order to_string prints them.
+_CONFIG_KEYS = ("field", "basis", "tree", "n", "transform", "ell", "lam", "c", "b", "calc", "out")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One fully resolved invocation; round-trips through its string form."""
@@ -84,13 +88,20 @@ class RunConfig:
 
     @classmethod
     def from_string(cls, text):
+        """The config to_string printed; ValueError for an unknown or
+        repeated key and for calc other than 0 or 1, which would not print
+        back the same."""
         vals = {}
         for token in text.split():
             key, sep, value = token.partition("=")
-            if not sep:
+            if not sep or key not in _CONFIG_KEYS:
                 raise ValueError(f"bad config token {token!r}")
+            if key in vals:
+                raise ValueError(f"repeated config key {key!r}")
             vals[key] = value
         try:
+            if vals["calc"] not in ("0", "1"):
+                raise ValueError(f"calc={vals['calc']}; need 0 or 1")
             lo, hi = vals["ell"].split(":")
             undash = lambda v: None if v == "-" else v
             return cls(
@@ -104,7 +115,7 @@ class RunConfig:
                 lam=vals["lam"],
                 c=None if vals["c"] == "-" else int(vals["c"]),
                 b=None if vals["b"] == "-" else int(vals["b"]),
-                calc=bool(int(vals["calc"])),
+                calc=vals["calc"] == "1",
                 out=undash(vals["out"]),
             )
         except (KeyError, ValueError) as exc:

@@ -6,9 +6,11 @@ child takes the image of the suffix under q -> q^(2^d) - q.  The map
 phi_v(u, lam) carries an evaluation shift lam down the same tree to leaf u
 of v's subtree, and transport is the one place that computes it: one pass
 down v's subtree yields phi_v at every leaf for a list of values at once.
-initial_phi_vector runs it on lam at the root.  phi_v is GF(2)-linear in
-lam, so the transforms run it on the basis of a start vertex to get the
-lam-free part of every leaf shift (transforms._lin_columns).
+phi_vector runs it on lam at the root with the table's inverted heads,
+and initial_phi_vector with the heads of given bases.  phi_v is
+GF(2)-linear in lam, so the transforms run it on the basis of a start
+vertex to get the lam-free part of every leaf shift
+(transforms._lin_columns).
 """
 
 from binbasis.basisgen import is_independent
@@ -87,9 +89,14 @@ def build_tables(field, tree, beta):
     return PrecompTable(field, tree, beta, compute_vertex_bases(field, tree, beta))
 
 
-def initial_phi_vector(field, tree, bases, lam):
-    """(phi_root(u, lam)) over all leaves u; the zero vector when lam is 0."""
+def phi_vector(field, tree, head_inv, lam):
+    """(phi_root(u, lam)) over all leaves u, from head_inv, the inverted
+    vertex heads; the zero vector when lam is 0."""
     if lam == 0:
         return [0] * tree.size[0]
-    head_inv = [field.inv(b[0]) for b in bases]
     return [x for (x,) in transport(field, tree, head_inv, 0, [lam])]
+
+
+def initial_phi_vector(field, tree, bases, lam):
+    """phi_vector from the vertex bases, whose heads it inverts."""
+    return phi_vector(field, tree, [field.inv(b[0]) for b in bases], lam)

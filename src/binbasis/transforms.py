@@ -7,6 +7,8 @@ indices.  Each conversion walks the reduction tree, viewing the coefficient
 vector as a 2^(n_v - d_v) x 2^d_v matrix at vertex v and recursing on full
 rows and strided columns.  The public executors take a view of a buffer's
 first entries and check its geometry, its entries and the shift vector.
+convert runs its legs at the root on one vector: from 2^9 entries up on
+one plane set per convert, moved into bit-planes once and back once.
 Every field addition and multiplication performed on buffer data, and each
 addition the paper's executor makes on the shift vector mu, increments the
 buffer's counter; everything precomputed is excluded.
@@ -16,7 +18,8 @@ per split group over every call of a vertex with the same arguments, and
 hands the leaf, Taylor and scaling steps to a kernel layout chosen by the
 size of the called vertex.  Below 2^9 entries _Scalar keeps the entries in
 the buffer's list and multiplies entry by entry; from 2^9 up bitslice holds
-them as m bit-planes.  In both, a batch is a mask of start positions and a
+them as m bit-planes, and its transposition into planes is the range check
+of the entries.  In both, a batch is a mask of start positions and a
 leaf call's shift is its base plus a lam-free value.  The first call at a
 start vertex derives those values for every leaf under it in one pass of
 precomp.transport over the vertex basis, and the table caches them.  The
@@ -35,7 +38,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import compress
 
-from binbasis.precomp import initial_phi_vector, transport
+from binbasis.precomp import phi_vector, transport
 
 BASIS_KINDS = ("monomial", "newton", "lagrange", "lch")
 
@@ -462,20 +465,9 @@ def _check_field(field, values, what):
 _PLANES_MIN_DIM = 9
 
 
-def _run(fam, v, args, phi_vec, view, table):
-    """One call on a view, on bit-planes at large vertices and in the buffer
-    list below; unchecked."""
-    if table.tree.size[v] >= _PLANES_MIN_DIM:
-        # Imported on first use: processes that only run small calls, such
-        # as count sweeps and the CLI at small n, never compile it.
-        from binbasis import bitslice
-        bitslice.run(fam, v, args, phi_vec, view, table)
-    else:
-        _walk(_Scalar(table, v, phi_vec, view.buffer), fam, v, {args: 1}, 0)
-
-
 def _start(name, v, c, ell, b, phi_vec, view, table):
-    """Check one call on a view and run it.
+    """Check one call on a view and run it: on bit-planes at large vertices,
+    where the transposition checks the entries, and in the buffer list below.
 
     x2m and m2x ignore phi_vec.
     """
@@ -484,12 +476,18 @@ def _start(name, v, c, ell, b, phi_vec, view, table):
     want = (1 << nv) if fam.full else ell
     if view.length != want:
         raise ValueError(f"view length {view.length}, expected {want}")
-    _check_field(table.field, view.buffer.data[:want], "data entry")
     if fam.leaf is not None:
         if len(phi_vec) != nv:
             raise ValueError(f"phi vector length {len(phi_vec)}, expected {nv}")
         _check_field(table.field, phi_vec, "shift")
-    _run(fam, v, args, phi_vec, view, table)
+    if nv >= _PLANES_MIN_DIM:
+        # Imported on first use: processes that only run small calls, such
+        # as count sweeps and the CLI at small n, never compile it.
+        from binbasis import bitslice
+        bitslice.run(fam, v, args, phi_vec, view, table)
+    else:
+        _check_field(table.field, view.buffer.data[:want], "data entry")
+        _walk(_Scalar(table, v, phi_vec, view.buffer), fam, v, {args: 1}, 0)
 
 
 def n2x(v, phi_vec, ell, view, table):
@@ -692,6 +690,12 @@ def convert(field, kind_from, kind_to, beta, tree, lam, ell, coeffs, table):
     twist_multiplications; lam is ignored by those legs, which carry no
     evaluation shift.  The table fixes the field, basis and tree, and the
     ones passed must match it.
+
+    From 2^9 entries up a convert runs on one plane set: the vector is
+    transposed into bit-planes once, both legs run on those planes, and it
+    is transposed back once.  The transposition then checks the
+    coefficients, unless a twist by a head other than 1 reads them first.
+    The twists stay scalar, before the transposition and after it.
     """
     if (field, tuple(beta), tree) != (table.field, table.beta, table.tree):
         raise ValueError("field, basis or tree does not match the table")
@@ -700,32 +704,36 @@ def convert(field, kind_from, kind_to, beta, tree, lam, ell, coeffs, table):
     coeffs = list(coeffs)
     if len(coeffs) != ell:
         raise ValueError(f"expected {ell} coefficients, got {len(coeffs)}")
-    _check_field(field, coeffs, "coefficient")
     if not 0 <= lam < field.order:
         raise ValueError(f"lam {lam} outside GF(2^{field.degree})")
     counter = OpCounter()
     if kind_from == kind_to:
+        _check_field(field, coeffs, "coefficient")
         return coeffs, counter
-    phi_vec = initial_phi_vector(field, tree, table.bases, lam)
-
-    def leg(name, coeffs):
-        # The entries and phi_vec are in the field: no per-leg check.
-        fam, args = _args(name, tree, 0, ell, ell, 0)
-        buf = _scratch(fam, 0, ell, coeffs, table, counter)
-        _run(fam, 0, args, phi_vec, buf.view(), table)
-        del buf.data[ell:]
-        return buf.data
-
+    names, twist_in, twist_out = [], False, False
     if kind_from in _LEGS:
-        into, _, twisted = _LEGS[kind_from]
-        if twisted:
-            _twist(field, coeffs, ell, table.head[0], counter)
-        coeffs = leg(into, coeffs)
+        into, _, twist_in = _LEGS[kind_from]
+        names.append(into)
     if kind_to in _LEGS:
-        _, out, twisted = _LEGS[kind_to]
-        coeffs = leg(out, coeffs)
-        if twisted:
-            _twist(field, coeffs, ell, table.head_inv[0], counter)
+        _, out, twist_out = _LEGS[kind_to]
+        names.append(out)
+    planes = tree.size[0] >= _PLANES_MIN_DIM
+    if not planes or twist_in and table.head[0] != 1:
+        _check_field(field, coeffs, "coefficient")
+    if twist_in:
+        _twist(field, coeffs, ell, table.head[0], counter)
+    legs = [_args(name, tree, 0, ell, ell, 0) for name in names]
+    phi_vec = phi_vector(field, tree, table.head_inv, lam)
+    if planes:
+        from binbasis import bitslice
+        coeffs = bitslice.run_legs(legs, ell, phi_vec, coeffs, table, counter)
+    else:
+        for fam, args in legs:
+            buf = _scratch(fam, 0, ell, coeffs, table, counter)
+            _walk(_Scalar(table, 0, phi_vec, buf), fam, 0, {args: 1}, 0)
+            coeffs = buf.data[:ell]
+    if twist_out:
+        _twist(field, coeffs, ell, table.head_inv[0], counter)
     return coeffs, counter
 
 

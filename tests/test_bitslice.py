@@ -11,14 +11,17 @@ from binbasis.cli import build_basis, build_tree
 from binbasis.field import get_field
 from binbasis.precomp import build_tables, initial_phi_vector, transport
 from binbasis.transforms import (
+    BASIS_KINDS,
     CoeffBuffer,
     CountModel,
     _PLANES_MIN_DIM,
     _Scalar,
     _args,
     _walk,
+    convert,
     ruler_delta,
     run_transform,
+    scale_by_powers,
 )
 
 # (degree, basis, tree, n) per configuration; Cantor and gencantor:2 bases
@@ -173,6 +176,24 @@ def test_layout_round_trip(m):
         assert bitslice.from_planes(planes, m, count) == values
 
 
+@pytest.mark.parametrize("m", [1, 12, 16, 31, 32])
+def test_layout_rejects_values_outside_field(m):
+    # A value of m bits or more, or a negative one, is not an element: the
+    # transposition raises rather than dropping its high bits.
+    for bad in (1 << m, (1 << m) + 1, 1 << 32, -1):
+        for count in (1, 2, 515):
+            values = [1] * count
+            values[count // 2] = bad
+            with pytest.raises(ValueError, match="outside GF"):
+                bitslice.to_planes(values, m)
+
+
+def test_from_planes_ignores_bits_past_count():
+    assert bitslice.from_planes([0b100], 1, 2) == [0, 0]
+    assert bitslice.from_planes([0b101, 0b110], 2, 2) == [1, 2]
+    assert bitslice.from_planes([-1] * 16, 16, 3) == [0xffff] * 3
+
+
 @pytest.mark.parametrize("n", [_PLANES_MIN_DIM - 1, _PLANES_MIN_DIM])
 def test_size_dispatch(n):
     # Calls at 2^n_v >= 512 entries run on planes, smaller ones do not;
@@ -195,3 +216,71 @@ def test_size_dispatch(n):
             assert out == want[:len(out)], (basis, tree, name)
             assert ctr.totals() == totals == model.transform(name, 0, c, ell, b)
         assert bool(table.leaf_planes) == (n >= _PLANES_MIN_DIM)
+
+
+# The transforms into the graded basis and out of it, per named basis.
+LEGS = {"newton": ("n2x", "x2n"), "lagrange": ("l2x", "x2l"), "monomial": ("m2x", "x2m")}
+
+
+def convert_by_legs(table, kind_from, kind_to, lam, coeffs):
+    """convert's result, with each leg a run_transform of its own and each
+    twist a scale_by_powers: (output, counter totals)."""
+    field, ell = table.field, len(coeffs)
+    phi_vec = initial_phi_vector(field, table.tree, table.bases, lam)
+    buf = CoeffBuffer(coeffs)
+    if kind_from == "monomial":
+        scale_by_powers(field, buf.view(), table.head[0])
+    counters, data = [buf.counter], buf.data
+    names = [LEGS[kind_from][0]] if kind_from in LEGS else []
+    names += [LEGS[kind_to][1]] if kind_to in LEGS else []
+    for name in names:
+        data, ctr = run_transform(name, 0, phi_vec, ell, ell, 0, data, table)
+        counters.append(ctr)
+    buf = CoeffBuffer(data)
+    if kind_to == "monomial":
+        scale_by_powers(field, buf.view(), table.head_inv[0])
+    counters.append(buf.counter)
+    return buf.data, tuple(map(sum, zip(*(ctr.totals() for ctr in counters))))
+
+
+@pytest.mark.parametrize("config", [(16, "cantor", "cantor", 9), (32, "random:4", "trivial", 9)],
+                         ids=["gf16-cantor-cantor-n9", "gf32-random-comb-n9"])
+def test_convert_one_plane_set_matches_legs(config):
+    # convert runs both legs on one plane set between one transposition in
+    # and one out; leg by leg, each transform moves its own vector.  Both
+    # give the same outputs and counts, twist included.  On the comb tree
+    # the heads are not 1, so the twists and the block scalings run.
+    table = make_table(*config)
+    field, tree, n = table.field, table.tree, config[3]
+    assert n >= _PLANES_MIN_DIM
+    assert (table.head[0] != 1) == (config[1] != "cantor")
+    model = CountModel(table)
+    rng = random.Random(str(config))
+    for kind_from in BASIS_KINDS:
+        for kind_to in BASIS_KINDS:
+            if kind_from == kind_to:
+                continue
+            for ell in (1 << n, (1 << n - 1) + 3, (1 << n) - 1):
+                for lam in (0, 1, rng.randrange(2, field.order)):
+                    coeffs = [rng.randrange(field.order) for _ in range(ell)]
+                    out, ctr = convert(field, kind_from, kind_to, table.beta, tree, lam, ell,
+                                       coeffs, table)
+                    want, totals = convert_by_legs(table, kind_from, kind_to, lam, coeffs)
+                    assert out == want, (kind_from, kind_to, ell, lam)
+                    assert ctr.totals() == totals == model.convert(kind_from, kind_to, ell)
+
+
+@pytest.mark.parametrize("config", [(16, "cantor", "cantor", 9), (32, "random:4", "trivial", 9)],
+                         ids=["gf16-cantor-cantor-n9", "gf32-random-comb-n9"])
+def test_convert_on_planes_rejects_entries_outside_field(config):
+    # On planes the transposition is the coefficients' range check, unless
+    # a twist by a head other than 1 reads them first.
+    table = make_table(*config)
+    field, tree, size = table.field, table.tree, 1 << config[3]
+    for kind_from, kind_to in (("newton", "lagrange"), ("monomial", "lch"), ("lch", "lagrange"),
+                               ("lagrange", "lagrange")):
+        for bad in (field.order, -1):
+            coeffs = [1] * size
+            coeffs[size // 2] = bad
+            with pytest.raises(ValueError, match="outside GF"):
+                convert(field, kind_from, kind_to, table.beta, tree, 3, size, coeffs, table)

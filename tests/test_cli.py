@@ -279,6 +279,13 @@ def test_runconfig_roundtrip():
         "ell=1:8 lam=0 c=- b=- calc=0 out=-")
     assert defaults.c is None and defaults.b is None and not defaults.calc
 
+    # Headers that would not print back the same: an unknown token, a
+    # repeated key and a calc flag other than 0 or 1.
+    for bad in (text + " bogus=1", text.replace("n=4", "n=3") + " n=5",
+                text.replace("calc=1", "calc=7")):
+        with pytest.raises(ValueError):
+            RunConfig.from_string(bad)
+
 
 def test_error_paths_single_line(capsys):
     bad_invocations = (

@@ -17,6 +17,7 @@ from binbasis.precomp import (
     build_tables,
     compute_vertex_bases,
     initial_phi_vector,
+    phi_vector,
     transport,
 )
 from binbasis.redtree import (
@@ -268,3 +269,17 @@ def test_initial_phi_vector():
     assert v1 == [phi_recursive(f, tree, bases, 0, u, l1) for u in range(5)]
     with pytest.raises(ValueError):
         initial_phi_vector(f, tree, bases, -1)
+
+
+def test_phi_vector_reads_table_heads():
+    # convert derives phi from the table's inverted heads; initial_phi_vector
+    # inverts the heads of the bases itself.  Both give one vector.
+    f = get_field(32)
+    rng = random.Random(58)
+    tree = build_trivial(10)
+    table = build_tables(f, tree, random_basis(f, 10, rng))
+    assert all(h != 1 for h in table.head)
+    for lam in (0, 1, rng.randrange(2, f.order)):
+        want = initial_phi_vector(f, tree, table.bases, lam)
+        assert phi_vector(f, tree, table.head_inv, lam) == want
+        assert want == [phi_recursive(f, tree, table.bases, 0, u, lam) for u in range(10)]
