@@ -9,9 +9,10 @@ the words k*w + b of every block k, gathered by byte slicing.  The packing
 rejects a negative entry or one of w bits or more, and planes m..w-1 must
 come out zero, so the transposition is also the range check of the
 entries.  from_planes scatters the planes into words and runs the same
-transpose, which is its own inverse.  run moves one call's view in and
-out; run_legs moves a convert's vector in once, runs both legs on that
-one plane set and moves it back once.
+transpose, which is its own inverse.  _Planes transposes the values of
+one transforms._run call in when it is built and back in values(), so a
+convert moves its vector in once, runs both legs and both twists on that
+one plane set, and moves it back once.
 
 transforms._walk runs the splits and hands each batch, a mask of start
 positions at one stride, to the kernels here.  A level of butterflies
@@ -36,7 +37,7 @@ from functools import lru_cache, reduce
 from operator import and_, xor
 
 from binbasis.transforms import (_lin_columns, _repunit, _scale_muls, _taylor_adds,
-                                 _taylor_levels, _walk)
+                                 _taylor_levels)
 
 
 def _word(m):
@@ -138,46 +139,29 @@ def leaf_planes(table, v):
     return planes
 
 
-def run(fam, v, args, phi_vec, view, table):
-    """One call of fam at vertex v on the view, on bit-planes; ValueError,
-    with the view unchanged, if an entry is outside the field."""
-    data = view.buffer.data
-    m = table.field.degree
-    lay = _Planes(table, v, phi_vec, view.buffer.counter, to_planes(data[:view.length], m))
-    _walk(lay, fam, v, {args: 1}, 0)
-    data[:view.length] = from_planes(lay.planes, m, view.length)
-
-
-def run_legs(legs, ell, phi_vec, values, table, counter):
-    """convert's legs, each (family, args) of a call at the root, one after
-    another on one plane set; returns the first ell values.  The values are
-    transposed in and out once, and after each leg the lanes at ell and up
-    are cleared, as truncating the buffer to ell entries would.  ValueError
-    if a value is outside the field."""
-    m = table.field.degree
-    lay = _Planes(table, 0, phi_vec, counter, to_planes(values, m))
-    keep = (1 << ell) - 1
-    for fam, args in legs:
-        _walk(lay, fam, 0, {args: 1}, 0)
-        lay.planes = [plane & keep for plane in lay.planes]
-    return from_planes(lay.planes, m, ell)
-
-
 class _Planes:
     """The bit-plane layout of transforms._walk: the planes of one call's
-    view, and its kernels on them."""
+    values, and its kernels on them.  Building it transposes the values,
+    which raises ValueError if one is outside the field."""
 
     __slots__ = ("table", "start", "phi_vec", "counter", "planes", "taps", "shifts")
 
-    def __init__(self, table, start, phi_vec, counter, planes):
+    def __init__(self, table, start, phi_vec, counter, values):
         self.table = table
         self.start = start
         self.phi_vec = phi_vec
         self.counter = counter
-        self.planes = planes
+        self.planes = to_planes(values, table.field.degree)
         modulus = table.field.modulus
         self.taps = [t for t in range(table.field.degree) if modulus >> t & 1]
         self.shifts = {}
+
+    def truncate(self, keep):
+        lanes = (1 << keep) - 1
+        self.planes = [plane & lanes for plane in self.planes]
+
+    def values(self, keep):
+        return from_planes(self.planes, self.table.field.degree, keep)
 
     def leaves(self, fam, leaf, batches, gap):
         """The leaf steps of every batch, {args: lanes}: the batches touch
@@ -251,7 +235,7 @@ class _Planes:
             for targets in (steps if expand else steps[::-1]):
                 for b, plane in enumerate(x):
                     x[b] = plane ^ (plane >> gap & targets)
-        self.counter.additions += _taylor_adds(t, ell) * mask.bit_count()
+        return _taylor_adds(t, ell) * mask.bit_count()
 
     def scale(self, w, ell, step, mask, e):
         """transforms._scale_blocks: block i of each call times step^i, as one
@@ -273,4 +257,4 @@ class _Planes:
         z = self.product(consts, lanes)
         for b, plane in enumerate(x):
             x[b] = plane ^ (plane & lanes) ^ z[b]
-        self.counter.multiplications += _scale_muls(w, ell) * mask.bit_count()
+        return _scale_muls(w, ell) * mask.bit_count()

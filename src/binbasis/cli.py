@@ -24,7 +24,7 @@ from binbasis.basisgen import (
 )
 from binbasis.field import Field, element_to_hex, get_field
 from binbasis.oracle import bound, oracle_convert
-from binbasis.precomp import build_tables, initial_phi_vector
+from binbasis.precomp import build_tables, phi_vector
 from binbasis.redtree import (
     ReductionTree,
     build_balanced_tree,
@@ -270,7 +270,7 @@ def measurer(cfg):
     lam = int(cfg.lam, 16)
     kinds = _convert_kinds(cfg.transform)
     model = CountModel(table) if cfg.calc else None
-    phi = None if cfg.calc else initial_phi_vector(field, tree, table.bases, lam)
+    phi = None if cfg.calc else phi_vector(field, tree, table.head_inv, lam)
     rng = random.Random(0)
 
     def measure(ell):
@@ -343,7 +343,7 @@ def cmd_verify(args):
         ("m2x", "monomial", "lch_twisted"),
     )
     for lam in lam_values:
-        phi = initial_phi_vector(field, tree, table.bases, lam)
+        phi = phi_vector(field, tree, table.head_inv, lam)
         for ell in range(1, size + 1):
             for name, kind_from, kind_to in checks:
                 data = [rng.randrange(field.order) for _ in range(ell)]

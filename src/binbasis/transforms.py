@@ -5,25 +5,29 @@ Lagrange (values at the first ell points of lam + span(beta)), and the graded
 basis X_i built from products of the Newton polynomials at power-of-two
 indices.  Each conversion walks the reduction tree, viewing the coefficient
 vector as a 2^(n_v - d_v) x 2^d_v matrix at vertex v and recursing on full
-rows and strided columns.  The public executors take a view of a buffer's
-first entries and check its geometry, its entries and the shift vector.
-convert runs its legs at the root on one vector: from 2^9 entries up on
-one plane set per convert, moved into bit-planes once and back once.
-Every field addition and multiplication performed on buffer data, and each
-addition the paper's executor makes on the shift vector mu, increments the
-buffer's counter; everything precomputed is excluded.
+rows and strided columns.  Every field addition and multiplication performed
+on coefficient data, and each addition the paper's executor makes on the
+shift vector mu, is counted; everything precomputed is excluded.
+
+Every call runs through _run: the public executors (one transform on a view
+of a buffer's first entries), run_transform and convert (its legs and the
+x -> beta_0 x twists of the monomial legs, on one vector).  _run checks the
+shift vector, moves the values into a kernel layout chosen by the size of
+the called vertex, runs the legs and the twists there and moves the values
+out once.  Below 2^9 entries _Scalar keeps the entries in a list and
+multiplies entry by entry; from 2^9 up bitslice holds them as m bit-planes.
+Building either layout is the range check of the entries.  The twist is the
+block scaling with blocks of one entry, so it needs no kernel of its own.
 
 One walk, _walk, runs every transform breadth-first in batches, one pass
 per split group over every call of a vertex with the same arguments, and
-hands the leaf, Taylor and scaling steps to a kernel layout chosen by the
-size of the called vertex.  Below 2^9 entries _Scalar keeps the entries in
-the buffer's list and multiplies entry by entry; from 2^9 up bitslice holds
-them as m bit-planes, and its transposition into planes is the range check
-of the entries.  In both, a batch is a mask of start positions and a
-leaf call's shift is its base plus a lam-free value.  The first call at a
-start vertex derives those values for every leaf under it in one pass of
-precomp.transport over the vertex basis, and the table caches them.  The
-scalar kernels are the reference the tests hold the bit-plane ones to.
+hands the leaf, Taylor and scaling steps to the layout's kernels, charging
+the operations they return.  In both layouts a batch is a mask of start
+positions and a leaf call's shift is its base plus a lam-free value.  The
+first call at a start vertex derives those values for every leaf under it
+in one pass of precomp.transport over the vertex basis, and the table
+caches them.  The scalar kernels are the reference the tests hold the
+bit-plane ones to.
 
 Each transform is described once, by a family record: its split, the
 steps of its leaf calls, its scratch and phase order, and how (c, ell, b)
@@ -37,6 +41,7 @@ over every ell are cheap even where execution would not be.
 from collections import namedtuple
 from functools import lru_cache
 from itertools import compress
+from operator import index
 
 from binbasis.precomp import phi_vector, transport
 
@@ -99,13 +104,6 @@ class CoeffView:
         return self.buffer.data[i]
 
 
-def ruler_delta(i):
-    """Index of the lowest zero bit of i."""
-    if i < 0:
-        raise ValueError("ruler sequence is defined for nonnegative indices")
-    return ((i + 1) & ~i).bit_length() - 1
-
-
 def _clog2(x):
     return (x - 1).bit_length()
 
@@ -116,8 +114,9 @@ def _clog2(x):
 # 2^(n_v-d) x 2^d matrix view go to the alpha child, columns to the delta
 # child.  Row i of a row group with shift set runs at the alpha shift vector
 # advanced after each row j < i by phi_v at beta_{v,d} + ... +
-# beta_{v,d+ruler_delta(j)}.  The executors read that sum from the lam-free
-# leaf shifts; the counts charge the paper's d additions on mu per advance.
+# beta_{v,d+k}, with k the index of the lowest zero bit of j.  The layouts
+# read that sum from the lam-free leaf shifts; the counts charge the paper's
+# d additions on mu per advance.
 # Inverse twins walk the phases of the same split in reverse order.
 
 
@@ -303,10 +302,15 @@ def _repunit(count, step):
 # parent mask times the repunit over the group's row (or column) starts,
 # and a shifted row group charges its d additions per row and call.
 #
-# A layout has the attributes table and counter and three kernels, each run
-# on every call of a batch: leaves(fam, leaf, batches, gap) on the batches
-# of a leaf, taylor(t, ell, mask, e, expand) as _taylor and
-# scale(w, ell, step, mask, e) as _scale_blocks.
+# A layout holds the entries of one call.  It is built from the call's
+# values as layout(table, start, phi_vec, counter, values), which raises
+# ValueError if one is not a field element, and zero-pads them to the 2^n
+# entries of the start vertex.  Its kernels run on every call of a batch:
+# leaves(fam, leaf, batches, gap) on the batches of a leaf, and
+# taylor(t, ell, mask, e, expand) as _taylor and scale(w, ell, step, mask, e)
+# as _scale_blocks, which return the additions and the multiplications they
+# made for the caller to charge.  truncate(keep) clears the entries at keep
+# and up, and values(keep) returns the first keep.
 
 
 def _walk(lay, fam, v, batches, e):
@@ -341,9 +345,9 @@ def _walk(lay, fam, v, batches, e):
         head = (table.delta_head if fam.inverse else table.delta_head_inv)(v)
         if fam.inverse:
             for (ell,), mask in batches.items():
-                lay.taylor(w, ell, mask, e, True)
+                ctr.additions += lay.taylor(w, ell, mask, e, True)
                 if ell > w and head != 1:
-                    lay.scale(w, ell, head, mask, e)
+                    ctr.multiplications += lay.scale(w, ell, head, mask, e)
     rstep, cstep = 1 << e + d, 1 << e
     masks = batches.values()
     for phase in zip(*phased):
@@ -363,8 +367,8 @@ def _walk(lay, fam, v, batches, e):
     if xm and not fam.inverse:
         for (ell,), mask in batches.items():
             if ell > w and head != 1:
-                lay.scale(w, ell, head, mask, e)
-            lay.taylor(w, ell, mask, e, False)
+                ctr.multiplications += lay.scale(w, ell, head, mask, e)
+            ctr.additions += lay.taylor(w, ell, mask, e, False)
 
 
 def _lin_columns(table, v):
@@ -394,17 +398,26 @@ def _offsets(mask):
 
 
 class _Scalar:
-    """The scalar layout: the entries of a call stay in the buffer list, and
-    each kernel loops over the set bits of a batch mask as buffer offsets."""
+    """The scalar layout: the entries of a call in one list, zero-padded to
+    the 2^n_v entries of the start vertex, and kernels that loop over the set
+    bits of a batch mask as list offsets."""
 
-    __slots__ = ("table", "start", "phi_vec", "buf", "counter")
+    __slots__ = ("table", "start", "phi_vec", "counter", "data")
 
-    def __init__(self, table, start, phi_vec, buf):
+    def __init__(self, table, start, phi_vec, counter, values):
+        data = _check_field(table.field, values, "data entry")
         self.table = table
         self.start = start
         self.phi_vec = phi_vec
-        self.buf = buf
-        self.counter = buf.counter
+        self.counter = counter
+        self.data = data + [0] * ((1 << table.tree.size[start]) - len(data))
+
+    def truncate(self, keep):
+        data = self.data
+        data[keep:] = [0] * (len(data) - keep)
+
+    def values(self, keep):
+        return self.data[:keep]
 
     def leaves(self, fam, leaf, batches, gap):
         table = self.table
@@ -421,7 +434,7 @@ class _Scalar:
                 lins.append(lin)
         i = tree.leaf_start[leaf] - tree.leaf_start[self.start]
         lin, base = lins[i], self.phi_vec[i]
-        data, mul = self.buf.data, table.field.mul
+        data, mul = self.data, table.field.mul
         # Each step of a batch is one loop over its calls' offsets p.
         for args, mask in batches.items():
             pre, prod, mid, post, copy = fam.leaf(args)
@@ -445,16 +458,22 @@ class _Scalar:
                     data[p + gap] = data[p]
 
     def taylor(self, t, ell, mask, e, expand):
-        _taylor(t, ell, self.buf, _offsets(mask), 1 << e, expand)
+        return _taylor(t, ell, self.data, _offsets(mask), 1 << e, expand)
 
     def scale(self, w, ell, step, mask, e):
-        _scale_blocks(self.table.field, self.buf, _offsets(mask), 1 << e, w, ell, step)
+        return _scale_blocks(self.table.field, self.data, _offsets(mask), 1 << e, w, ell, step)
 
 
 def _check_field(field, values, what):
-    """Raise ValueError unless every value is an element of the field."""
-    if values and (min(values) < 0 or max(values) >= field.order):
+    """values as a list of ints, each read by operator.index as the bit-plane
+    transposition reads it; ValueError unless each is a field element."""
+    try:
+        ints = list(map(index, values))
+    except TypeError:
+        ints = None
+    if ints is None or ints and (min(ints) < 0 or max(ints) >= field.order):
         raise ValueError(f"{what} outside GF(2^{field.degree})")
+    return ints
 
 
 # Calls at vertices with 2^n_v >= 512 entries run on bit-planes (bitslice).
@@ -465,29 +484,49 @@ def _check_field(field, values, what):
 _PLANES_MIN_DIM = 9
 
 
-def _start(name, v, c, ell, b, phi_vec, view, table):
-    """Check one call on a view and run it: on bit-planes at large vertices,
-    where the transposition checks the entries, and in the buffer list below.
+def _run(table, v, legs, keep, phi_vec, values, counter, twist=(1, 1)):
+    """Run legs, each (family, args) of a call at vertex v, one after another
+    on values; returns the first keep entries.  Every call goes into a
+    layout here and comes out again.
 
-    x2m and m2x ignore phi_vec.
+    Building the layout checks the values: bit-planes at vertices of 2^9
+    entries or more, the scalar list below.  After each leg the entries at
+    keep and up are cleared, as truncating to keep entries would.  twist
+    holds the heads of the substitution x -> head x run on the first keep
+    entries before the legs and after them, as block scalings with blocks
+    of one entry; a head of 1 runs none.  x2m and m2x ignore phi_vec.
     """
-    fam, args = _args(name, table.tree, v, c, ell, b)
     nv = table.tree.size[v]
-    want = (1 << nv) if fam.full else ell
-    if view.length != want:
-        raise ValueError(f"view length {view.length}, expected {want}")
-    if fam.leaf is not None:
+    if any(fam.leaf is not None for fam, _ in legs):
         if len(phi_vec) != nv:
             raise ValueError(f"phi vector length {len(phi_vec)}, expected {nv}")
-        _check_field(table.field, phi_vec, "shift")
+        phi_vec = _check_field(table.field, phi_vec, "shift")
     if nv >= _PLANES_MIN_DIM:
         # Imported on first use: processes that only run small calls, such
         # as count sweeps and the CLI at small n, never compile it.
-        from binbasis import bitslice
-        bitslice.run(fam, v, args, phi_vec, view, table)
+        from binbasis.bitslice import _Planes as layout
     else:
-        _check_field(table.field, view.buffer.data[:want], "data entry")
-        _walk(_Scalar(table, v, phi_vec, view.buffer), fam, v, {args: 1}, 0)
+        layout = _Scalar
+    lay = layout(table, v, phi_vec, counter, values)
+    head_in, head_out = twist
+    if head_in != 1 and keep > 1:
+        counter.twist_multiplications += lay.scale(1, keep, head_in, 1, 0)
+    for fam, args in legs:
+        _walk(lay, fam, v, {args: 1}, 0)
+        lay.truncate(keep)
+    if head_out != 1 and keep > 1:
+        counter.twist_multiplications += lay.scale(1, keep, head_out, 1, 0)
+    return lay.values(keep)
+
+
+def _start(name, v, c, ell, b, phi_vec, view, table):
+    """Check one call on a view and run it in place."""
+    fam, args = _args(name, table.tree, v, c, ell, b)
+    want = (1 << table.tree.size[v]) if fam.full else ell
+    if view.length != want:
+        raise ValueError(f"view length {view.length}, expected {want}")
+    data = view.buffer.data
+    data[:want] = _run(table, v, [(fam, args)], want, phi_vec, data[:want], view.buffer.counter)
 
 
 def n2x(v, phi_vec, ell, view, table):
@@ -533,12 +572,13 @@ def _taylor_levels(t, ell):
 
 
 def _taylor_adds(t, ell):
-    """Additions of one _taylor call, which counts them op by op."""
+    """Additions of one _taylor call on one instance."""
     return sum(blk * l1 + max(l2 - blk, 0) for blk, _, l1, l2 in _taylor_levels(t, ell))
 
 
-def _taylor(t, ell, buf, offs, s, expand):
-    """Shared body of taylor_expand and taylor_inverse, on each instance.
+def _taylor(t, ell, data, offs, s, expand):
+    """Shared body of taylor_expand and taylor_inverse, on each instance;
+    returns the additions made.
 
     Expanding runs both loop directions high to low: within a block the
     target range overlaps the source range shifted by half a block, and the
@@ -546,7 +586,6 @@ def _taylor(t, ell, buf, offs, s, expand):
     inverse makes the same updates with both loop orders reversed.
     """
     levels = _taylor_levels(t, ell)
-    data = buf.data
     adds = 0
     for blk, half, l1, l2 in (reversed(levels) if expand else levels):
         gap = s * (blk - half)
@@ -565,14 +604,15 @@ def _taylor(t, ell, buf, offs, s, expand):
                           for o in offs]:
                     data[p] ^= data[p + gap]
             adds += n
-    buf.counter.additions += adds * len(offs)
+    return adds * len(offs)
 
 
 def _taylor_view(t, ell, view, expand):
     """_taylor on one view of length ell."""
     if view.length != ell:
         raise ValueError(f"view length {view.length}, expected {ell}")
-    _taylor(t, ell, view.buffer, [0], 1, expand)
+    buf = view.buffer
+    buf.counter.additions += _taylor(t, ell, buf.data, [0], 1, expand)
 
 
 def taylor_expand(t, ell, view):
@@ -585,14 +625,14 @@ def taylor_inverse(t, ell, view):
     _taylor_view(t, ell, view, False)
 
 
-def _scale_blocks(field, buf, offs, s, w, ell, step):
-    """Multiply block i (entries w*i..w*i+w-1) by step^i for each i >= 1.
+def _scale_blocks(field, data, offs, s, w, ell, step):
+    """Multiply block i (entries w*i..w*i+w-1) by step^i for each i >= 1;
+    returns the multiplications made.
 
     One multiplication per entry past the first block, and one per power
     of step after the first.  Each instance computes its own powers, as a
-    call of its own would.
+    call of its own would.  With w = 1 this is the substitution x -> step x.
     """
-    data = buf.data
     mul = field.mul
     muls = 0
     for o in offs:
@@ -604,7 +644,7 @@ def _scale_blocks(field, buf, offs, s, w, ell, step):
             block = slice(o + s * base, o + s * min(base + w, ell), s)
             data[block] = [mul(acc, x) for x in data[block]]
             muls += min(w, ell - base)
-    buf.counter.multiplications += muls
+    return muls
 
 
 def _scale_muls(w, ell):
@@ -630,22 +670,12 @@ def scale_by_powers(field, view, w):
     """
     if w == 0:
         raise ValueError("scale factor must be nonzero")
-    _check_field(field, [w], "scale factor")
-    _check_field(field, view.buffer.data[:len(view)], "data entry")
-    _twist(field, view.buffer.data, len(view), w, view.buffer.counter)
-
-
-def _twist(field, data, ell, w, counter):
-    """scale_by_powers on the first ell entries of data, unchecked."""
-    if w == 1 or ell < 2:
-        return
-    mul = field.mul
-    data[1] = mul(w, data[1])
-    acc = w
-    for p in range(2, ell):
-        acc = mul(acc, w)
-        data[p] = mul(acc, data[p])
-    counter.twist_multiplications += 1 + 2 * (ell - 2)
+    (w,) = _check_field(field, [w], "scale factor")
+    buf = view.buffer
+    _check_field(field, buf.data[:len(view)], "data entry")
+    if w != 1:
+        buf.counter.twist_multiplications += _scale_blocks(field, buf.data, [0], 1, 1,
+                                                           len(view), w)
 
 
 def _check_convert(kind_from, kind_to, tree, ell):
@@ -657,16 +687,9 @@ def _check_convert(kind_from, kind_to, tree, ell):
         raise ValueError(f"ell {ell} out of range for dimension {n}")
 
 
-def _scratch(fam, v, ell, data, table, counter):
-    """A buffer holding data, zero-padded to the 2^n_v scratch of l2x and x2l."""
-    buf = CoeffBuffer(data, counter)
-    if fam.full:
-        buf.data += [0] * ((1 << table.tree.size[v]) - ell)
-    return buf
-
-
 def run_transform(name, v, phi_vec, c, ell, b, data, table):
-    """Run one raw transform at vertex v on data; returns (output, OpCounter).
+    """Run one raw transform at vertex v on the ell entries of data; returns
+    (output, OpCounter).
 
     l2x and x2l work in a zero-padded scratch of 2^n_v entries.  l2x returns
     its first max(c + b, ell), which include the value f_c when b is 1, and
@@ -674,12 +697,12 @@ def run_transform(name, v, phi_vec, c, ell, b, data, table):
     and m2x also phi_vec.
     """
     fam, args = _args(name, table.tree, v, c, ell, b)
-    buf = _scratch(fam, v, ell, data, table, OpCounter())
-    _start(name, v, c, ell, b, phi_vec, buf.view(), table)
-    if fam.full:
-        # args are (c, ell, b) for l2x and (c, ell) for x2l.
-        del buf.data[max(ell, sum(args) - ell):]
-    return buf.data, buf.counter
+    if len(data) != ell:
+        raise ValueError(f"expected {ell} entries, got {len(data)}")
+    # args are (c, ell, b) for l2x and (c, ell) for x2l.
+    keep = max(ell, sum(args) - ell) if fam.full else ell
+    counter = OpCounter()
+    return _run(table, v, [(fam, args)], keep, phi_vec, data, counter), counter
 
 
 def convert(field, kind_from, kind_to, beta, tree, lam, ell, coeffs, table):
@@ -691,11 +714,9 @@ def convert(field, kind_from, kind_to, beta, tree, lam, ell, coeffs, table):
     evaluation shift.  The table fixes the field, basis and tree, and the
     ones passed must match it.
 
-    From 2^9 entries up a convert runs on one plane set: the vector is
-    transposed into bit-planes once, both legs run on those planes, and it
-    is transposed back once.  The transposition then checks the
-    coefficients, unless a twist by a head other than 1 reads them first.
-    The twists stay scalar, before the transposition and after it.
+    Both legs and both twists run in one layout at the root, and building
+    it checks the coefficients: from 2^9 entries up the vector is
+    transposed into bit-planes once and back once.
     """
     if (field, tuple(beta), tree) != (table.field, table.beta, table.tree):
         raise ValueError("field, basis or tree does not match the table")
@@ -704,37 +725,18 @@ def convert(field, kind_from, kind_to, beta, tree, lam, ell, coeffs, table):
     coeffs = list(coeffs)
     if len(coeffs) != ell:
         raise ValueError(f"expected {ell} coefficients, got {len(coeffs)}")
-    if not 0 <= lam < field.order:
-        raise ValueError(f"lam {lam} outside GF(2^{field.degree})")
+    (lam,) = _check_field(field, [lam], f"lam {lam}")
+    legs, twist = [], [1, 1]
+    if kind_from != kind_to:
+        for side, kind, head in ((0, kind_from, table.head[0]), (1, kind_to, table.head_inv[0])):
+            if kind in _LEGS:
+                name, twisted = _LEGS[kind][side], _LEGS[kind][2]
+                legs.append(_args(name, tree, 0, ell, ell, 0))
+                if twisted:
+                    twist[side] = head
     counter = OpCounter()
-    if kind_from == kind_to:
-        _check_field(field, coeffs, "coefficient")
-        return coeffs, counter
-    names, twist_in, twist_out = [], False, False
-    if kind_from in _LEGS:
-        into, _, twist_in = _LEGS[kind_from]
-        names.append(into)
-    if kind_to in _LEGS:
-        _, out, twist_out = _LEGS[kind_to]
-        names.append(out)
-    planes = tree.size[0] >= _PLANES_MIN_DIM
-    if not planes or twist_in and table.head[0] != 1:
-        _check_field(field, coeffs, "coefficient")
-    if twist_in:
-        _twist(field, coeffs, ell, table.head[0], counter)
-    legs = [_args(name, tree, 0, ell, ell, 0) for name in names]
     phi_vec = phi_vector(field, tree, table.head_inv, lam)
-    if planes:
-        from binbasis import bitslice
-        coeffs = bitslice.run_legs(legs, ell, phi_vec, coeffs, table, counter)
-    else:
-        for fam, args in legs:
-            buf = _scratch(fam, 0, ell, coeffs, table, counter)
-            _walk(_Scalar(table, 0, phi_vec, buf), fam, 0, {args: 1}, 0)
-            coeffs = buf.data[:ell]
-    if twist_out:
-        _twist(field, coeffs, ell, table.head_inv[0], counter)
-    return coeffs, counter
+    return _run(table, 0, legs, ell, phi_vec, coeffs, counter, twist), counter
 
 
 class CountModel:
@@ -790,29 +792,17 @@ class CountModel:
         fam, args = _args(name, self.tree, v, c, ell, b)
         return self._count(fam, v, args) + (0,)
 
-    def nx(self, v, ell):
-        """(additions, multiplications) of n2x and of x2n."""
-        return self.transform("n2x", v, ell, ell, 0)[:2]
-
     def l2x(self, v, c, ell, b):
         return self.transform("l2x", v, c, ell, b)[:2]
 
     def x2l(self, v, c, ell):
         return self.transform("x2l", v, c, ell, 0)[:2]
 
-    def xm(self, v, ell):
-        """(additions, multiplications) of x2m and of m2x."""
-        return self.transform("x2m", v, ell, ell, 0)[:2]
-
-    def taylor(self, t, ell):
-        """Additions of taylor_expand and of taylor_inverse."""
-        return _taylor_adds(t, ell)
-
     def twist(self, ell):
         """Multiplications of the x -> beta_0 x substitution."""
         if self.table.beta[0] == 1 or ell < 2:
             return 0
-        return 2 * ell - 3
+        return _scale_muls(1, ell)
 
     def _leg(self, kind, side, ell):
         """Totals of convert's leg of kind at ell, into the graded basis

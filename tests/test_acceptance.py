@@ -52,6 +52,7 @@ from binbasis.transforms import (
     CoeffBuffer,
     CountModel,
     _lin_columns,
+    _taylor_adds,
     convert,
     l2x,
     m2x,
@@ -238,7 +239,7 @@ def test_criterion_4_count_bounds():
             for tree in (build_trivial(n), build_cantor_tree(n)):
                 model = CountModel(build_tables(GF16, tree, beta))
                 for ell in range(1, (1 << n) + 1):
-                    adds, muls = model.nx(0, ell)
+                    adds, muls = model.transform("n2x", 0, ell, ell, 0)[:2]
                     assert adds <= bound("newton_add", ell=ell)
                     assert muls <= bound("newton_mul", ell=ell)
                     adds, muls = model.l2x(0, ell, ell, 0)
@@ -247,15 +248,13 @@ def test_criterion_4_count_bounds():
                     adds, muls = model.x2l(0, ell, ell)
                     assert adds <= bound("x2l_add", c=ell, ell=ell, n=n)
                     assert muls <= bound("x2l_mul", c=ell, ell=ell, n=n)
-                    adds, muls = model.xm(0, ell)
+                    adds, muls = model.transform("x2m", 0, ell, ell, 0)[:2]
                     assert adds <= bound("monomial_add", ell=ell)
                     assert muls <= bound("monomial_mul", ell=ell)
-        model = CountModel(build_tables(GF16, build_trivial(1),
-                                        construct_cantor(GF16, 1)))
         for ell in range(1, (1 << 15) + 1):
             t = 2
             while t <= max(ell, 2):
-                assert model.taylor(t, ell) <= bound("taylor_add", ell=ell, t=t)
+                assert _taylor_adds(t, ell) <= bound("taylor_add", ell=ell, t=t)
                 t <<= 1
 
 
@@ -265,9 +264,9 @@ def test_criterion_5_cantor_sharpenings():
             beta = construct_cantor(GF16, n)
             model = CountModel(build_tables(GF16, build_cantor_tree(n), beta))
             for ell in range(1, (1 << n) + 1):
-                adds, _ = model.nx(0, ell)
+                adds, _ = model.transform("n2x", 0, ell, ell, 0)[:2]
                 assert adds <= bound("cantor_newton_add", ell=ell)
-                adds, muls = model.xm(0, ell)
+                adds, muls = model.transform("x2m", 0, ell, ell, 0)[:2]
                 assert adds <= bound("cantor_monomial_add", ell=ell)
                 assert muls == 0
 
@@ -295,7 +294,8 @@ def test_criterion_6_curve_ordering():
         trivial = CountModel(build_tables(GF16, build_trivial(15), beta15))
         cantor = CountModel(build_tables(GF16, build_cantor_tree(15), beta15))
         for ell in range(1, (1 << 15) + 1):
-            assert trivial.nx(0, ell)[0] >= cantor.nx(0, ell)[0]
+            assert trivial.transform("n2x", 0, ell, ell, 0)[0] >= \
+                cantor.transform("n2x", 0, ell, ell, 0)[0]
             assert trivial.l2x(0, ell, ell, 0)[0] >= cantor.l2x(0, ell, ell, 0)[0]
             assert trivial.x2l(0, ell, ell)[0] >= cantor.x2l(0, ell, ell)[0]
 
@@ -307,20 +307,22 @@ def test_criterion_6_curve_ordering():
             flat = CountModel(build_tables(GF12, build_trivial(12), beta))
             best = CountModel(build_tables(GF12, tree_max, beta))
             for ell in range(1, 4097):
-                assert best.nx(0, ell)[0] <= flat.nx(0, ell)[0], (text, ell)
+                assert best.transform("n2x", 0, ell, ell, 0)[0] <= \
+                    flat.transform("n2x", 0, ell, ell, 0)[0], (text, ell)
                 assert best.l2x(0, ell, ell, 0)[0] <= \
                     flat.l2x(0, ell, ell, 0)[0], (text, ell)
                 assert best.x2l(0, ell, ell)[0] <= \
                     flat.x2l(0, ell, ell)[0], (text, ell)
-                assert best.xm(0, ell)[0] <= flat.xm(0, ell)[0], (text, ell)
+                assert best.transform("x2m", 0, ell, ell, 0)[0] <= \
+                    flat.transform("x2m", 0, ell, ell, 0)[0], (text, ell)
             for var in daggered_variants(GF12, text):
                 dag_tower = tower_from_string(GF12, var)
                 dag_beta = construct_tower_basis(GF12, dag_tower, 12)
                 dag = CountModel(build_tables(GF12, tree_max, dag_beta))
                 strict = False
                 for ell in range(1, 4097):
-                    plain_m = best.xm(0, ell)[1]
-                    dag_m = dag.xm(0, ell)[1]
+                    plain_m = best.transform("x2m", 0, ell, ell, 0)[1]
+                    dag_m = dag.transform("x2m", 0, ell, ell, 0)[1]
                     assert dag_m <= plain_m, (var, ell)
                     strict = strict or dag_m < plain_m
                 assert strict, var

@@ -14,12 +14,14 @@ from binbasis.transforms import (
     BASIS_KINDS,
     CoeffBuffer,
     CountModel,
+    OpCounter,
     _PLANES_MIN_DIM,
     _Scalar,
     _args,
+    _scale_blocks,
+    _scale_muls,
     _walk,
     convert,
-    ruler_delta,
     run_transform,
     scale_by_powers,
 )
@@ -59,17 +61,14 @@ def calls(table, v, size):
 
 
 def execute(table, name, v, phi_vec, c, ell, b, data, planes):
-    """One call on a copy of data, forced onto bit-planes or not; returns
-    (buffer entries, counter totals)."""
+    """One call on data, forced onto bit-planes or not; returns (the entries
+    of its view, counter totals)."""
     fam, args = _args(name, table.tree, v, c, ell, b)
-    nv = table.tree.size[v]
-    length = (1 << nv) if fam.full else ell
-    buf = CoeffBuffer(list(data) + [0] * (length - len(data)))
-    if planes:
-        bitslice.run(fam, v, args, phi_vec, buf.view(), table)
-    else:
-        _walk(_Scalar(table, v, phi_vec, buf), fam, v, {args: 1}, 0)
-    return buf.data, buf.counter.totals()
+    length = (1 << table.tree.size[v]) if fam.full else ell
+    counter = OpCounter()
+    lay = (bitslice._Planes if planes else _Scalar)(table, v, phi_vec, counter, data)
+    _walk(lay, fam, v, {args: 1}, 0)
+    return lay.values(length), counter.totals()
 
 
 def shift_vectors(table, v, rng):
@@ -98,6 +97,11 @@ def test_planes_match_scalar(config):
             if got != want:
                 mismatches.append((v, name, c, ell, b, i % 3))
     assert not mismatches, mismatches[:5]
+
+
+def ruler_delta(i):
+    """Index of the lowest zero bit of i."""
+    return ((i + 1) & ~i).bit_length() - 1
 
 
 def ruler_shifts(table, v, phi_vec):
@@ -218,6 +222,32 @@ def test_size_dispatch(n):
         assert bool(table.leaf_planes) == (n >= _PLANES_MIN_DIM)
 
 
+@pytest.mark.parametrize("config", [(16, "random:2", "trivial", 9), (32, "random:4", "trivial", 9)],
+                         ids=["gf16-random-comb-n9", "gf32-random-comb-n9"])
+def test_plane_scale_matches_scalar_reference(config):
+    # The twist x -> head x is the block scaling with blocks of one entry.
+    # On planes, at w = 1 and at the block width of every internal vertex,
+    # scale must give _scale_blocks' entries, and both must return
+    # _scale_muls(w, ell) multiplications.
+    table = make_table(*config)
+    field, tree, n = table.field, table.tree, config[3]
+    size = 1 << n
+    rng = random.Random(str(config))
+    heads = {1: (table.head[0], table.head_inv[0])}
+    for v in tree.internal_vertices():
+        heads[1 << tree.size[tree.alpha[v]]] = (table.delta_head(v), table.delta_head_inv(v))
+    for w, pair in heads.items():
+        for head in pair:
+            assert head != 1
+            for ell in (w + 1, size - (w + 1) // 2, size):
+                data = [rng.randrange(field.order) for _ in range(ell)]
+                want = list(data)
+                muls = _scale_blocks(field, want, [0], 1, w, ell, head)
+                lay = bitslice._Planes(table, 0, [0] * n, OpCounter(), data)
+                assert lay.scale(w, ell, head, 1, 0) == muls == _scale_muls(w, ell), (w, ell)
+                assert lay.values(ell) == want, (w, ell)
+
+
 # The transforms into the graded basis and out of it, per named basis.
 LEGS = {"newton": ("n2x", "x2n"), "lagrange": ("l2x", "x2l"), "monomial": ("m2x", "x2m")}
 
@@ -273,8 +303,8 @@ def test_convert_one_plane_set_matches_legs(config):
 @pytest.mark.parametrize("config", [(16, "cantor", "cantor", 9), (32, "random:4", "trivial", 9)],
                          ids=["gf16-cantor-cantor-n9", "gf32-random-comb-n9"])
 def test_convert_on_planes_rejects_entries_outside_field(config):
-    # On planes the transposition is the coefficients' range check, unless
-    # a twist by a head other than 1 reads them first.
+    # On planes the transposition is the coefficients' range check, and it
+    # runs before a twist by a head other than 1 reads them.
     table = make_table(*config)
     field, tree, size = table.field, table.tree, 1 << config[3]
     for kind_from, kind_to in (("newton", "lagrange"), ("monomial", "lch"), ("lch", "lagrange"),

@@ -33,16 +33,17 @@ from binbasis.transforms import (
     BASIS_KINDS,
     CoeffBuffer,
     CountModel,
+    OpCounter,
     _N2X,
     _X2M,
     _Scalar,
+    _taylor_adds,
     _walk,
     convert,
     graded_split,
     l2x,
     m2x,
     n2x,
-    ruler_delta,
     run_transform,
     scale_by_powers,
     taylor_expand,
@@ -140,15 +141,6 @@ MEDIUM = medium_tables()
 
 def lam_choices(table, rng):
     return (0, rng.randrange(1, table.field.order))
-
-
-def test_ruler_delta_sequence():
-    assert [ruler_delta(i) for i in range(16)] == [
-        0, 1, 0, 2, 0, 1, 0, 3, 0, 1, 0, 2, 0, 1, 0, 4]
-    for k in range(20):
-        assert ruler_delta((1 << k) - 1) == k
-    with pytest.raises(ValueError):
-        ruler_delta(-1)
 
 
 def test_strided_view_geometry():
@@ -329,7 +321,6 @@ def test_taylor_small_example():
 def test_taylor_reconstruction():
     # Blocks of size t are coefficients on powers of x^t - x.
     rng = random.Random(707)
-    model = CountModel(build_tables(GF8, build_trivial(1), (1,)))
     for t in (2, 4, 8):
         for ell in (1, 2, 3, t, t + 1, 2 * t, 3 * t + 2, 5 * t + 1):
             data = rand_elems(rng, GF8, ell)
@@ -348,11 +339,11 @@ def test_taylor_reconstruction():
             expect = list(total) + [0] * (ell - len(total))
             assert data == expect
 
-            assert buf.counter.additions == model.taylor(t, ell)
+            assert buf.counter.additions == _taylor_adds(t, ell)
             assert buf.counter.additions <= bound("taylor_add", ell=ell, t=t)
             taylor_inverse(t, ell, buf.view())
             assert buf.data == data
-            assert buf.counter.additions == 2 * model.taylor(t, ell)
+            assert buf.counter.additions == 2 * _taylor_adds(t, ell)
 
 
 def test_monomial_matches_oracle_small():
@@ -394,13 +385,13 @@ def test_counts_match_model_graded_and_lagrange():
         lam = rng.randrange(table.field.order)
         for ell in range(1, size + 1):
             out, ctr = run_graded(table, lam, rand_elems(rng, table.field, ell), True)
-            assert (ctr.additions, ctr.multiplications) == model.nx(0, ell)
+            assert ctr.totals() == model.transform("n2x", 0, ell, ell, 0)
             _, ctr = run_graded(table, lam, out, False)
-            assert (ctr.additions, ctr.multiplications) == model.nx(0, ell)
+            assert ctr.totals() == model.transform("n2x", 0, ell, ell, 0)
             _, ctr = run_xm(table, rand_elems(rng, table.field, ell), True)
-            assert (ctr.additions, ctr.multiplications) == model.xm(0, ell)
+            assert ctr.totals() == model.transform("x2m", 0, ell, ell, 0)
             _, ctr = run_xm(table, rand_elems(rng, table.field, ell), False)
-            assert (ctr.additions, ctr.multiplications) == model.xm(0, ell)
+            assert ctr.totals() == model.transform("x2m", 0, ell, ell, 0)
             _, ctr = run_x2l(table, lam, ell, ell, rand_elems(rng, table.field, ell))
             assert (ctr.additions, ctr.multiplications) == model.x2l(0, ell, ell)
 
@@ -435,9 +426,9 @@ def test_counts_match_model_sampled_large():
         lam = rng.randrange(GF16.order)
         for ell in sorted(rng.sample(range(1, 513), 6)) + [512]:
             _, ctr = run_graded(table, lam, rand_elems(rng, GF16, ell), True)
-            assert (ctr.additions, ctr.multiplications) == model.nx(0, ell)
+            assert ctr.totals() == model.transform("n2x", 0, ell, ell, 0)
             _, ctr = run_xm(table, rand_elems(rng, GF16, ell), False)
-            assert (ctr.additions, ctr.multiplications) == model.xm(0, ell)
+            assert ctr.totals() == model.transform("x2m", 0, ell, ell, 0)
 
 
 def test_convert_all_pairs_match_oracle():
@@ -517,6 +508,44 @@ def test_executors_reject_elements_outside_field(n):
         assert buf.data == data
 
 
+
+class Index:
+    """An integer type other than int."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize("degree", [16, 32])
+@pytest.mark.parametrize("n", [3, 9])
+def test_non_integers_raise_value_error(n, degree):
+    # A float entry raised TypeError below 512 entries and ValueError from
+    # 512 up; a float shift or lam raised TypeError at both sizes.
+    field = get_field(degree)
+    beta = valid_random_basis(field, n, 1)
+    tree = build_trivial(n)
+    table = build_tables(field, tree, beta)
+    size = 1 << n
+    for name in ("n2x", "l2x", "x2m"):
+        with pytest.raises(ValueError, match="data entry outside GF"):
+            run_transform(name, 0, [1] * n, size, size, 0, [1, 2.5] + [3] * (size - 2), table)
+    for name in ("n2x", "x2n", "l2x", "x2l"):
+        with pytest.raises(ValueError, match="shift outside GF"):
+            run_transform(name, 0, [1.0] + [1] * (n - 1), size, size, 0, [3] * size, table)
+    with pytest.raises(ValueError, match="data entry outside GF"):
+        convert(field, "lch", "lagrange", beta, tree, 0, 3, [1, 2.5, 3], table)
+    for lam in (2.5, 1.0, "1"):
+        with pytest.raises(ValueError, match=f"lam {lam} outside GF"):
+            convert(field, "lch", "lagrange", beta, tree, lam, 3, [1, 2, 3], table)
+    # Both layouts read any other integer type by its __index__.
+    out, ctr = run_transform("n2x", 0, [Index(1)] * n, size, size, 0, [Index(3)] * size, table)
+    want, totals = run_transform("n2x", 0, [1] * n, size, size, 0, [3] * size, table)
+    assert out == want and ctr.totals() == totals.totals()
+    assert all(type(x) is int for x in out)
+
 def test_convert_twist_counter():
     rng = random.Random(444)
     scaled = SMALL[-3]
@@ -551,20 +580,20 @@ def test_model_counts_within_bounds():
     for tree in (build_trivial(8), build_cantor_tree(8)):
         model = CountModel(build_tables(GF16, tree, beta))
         for ell in range(1, 257):
-            a, m = model.nx(0, ell)
+            a, m = model.transform("n2x", 0, ell, ell, 0)[:2]
             assert a <= bound("newton_add", ell=ell)
             assert m <= bound("newton_mul", ell=ell)
             a, m = model.l2x(0, ell, ell, 0)
             assert a <= bound("lagrange_add", ell=ell)
             assert m <= bound("lagrange_mul", ell=ell)
-            a, m = model.xm(0, ell)
+            a, m = model.transform("x2m", 0, ell, ell, 0)[:2]
             assert a <= bound("monomial_add", ell=ell)
             assert m <= bound("monomial_mul", ell=ell)
     model = CountModel(build_tables(GF16, build_cantor_tree(8), beta))
     for ell in range(1, 257):
-        assert model.nx(0, ell)[0] <= bound("cantor_newton_add", ell=ell)
-        assert model.xm(0, ell)[0] <= bound("cantor_monomial_add", ell=ell)
-        assert model.xm(0, ell)[1] == 0
+        assert model.transform("n2x", 0, ell, ell, 0)[0] <= bound("cantor_newton_add", ell=ell)
+        assert model.transform("x2m", 0, ell, ell, 0)[0] <= bound("cantor_monomial_add", ell=ell)
+        assert model.transform("x2m", 0, ell, ell, 0)[1] == 0
 
 
 def test_mixed_bounds_hold():
@@ -589,7 +618,7 @@ def test_cantor_tree_never_worse_smoke():
     triv = CountModel(build_tables(GF16, build_trivial(8), beta))
     cant = CountModel(build_tables(GF16, build_cantor_tree(8), beta))
     for ell in range(1, 257):
-        assert triv.nx(0, ell)[0] >= cant.nx(0, ell)[0]
+        assert triv.transform("n2x", 0, ell, ell, 0)[0] >= cant.transform("n2x", 0, ell, ell, 0)[0]
         assert triv.l2x(0, ell, ell, 0)[0] >= cant.l2x(0, ell, ell, 0)[0]
         assert triv.x2l(0, ell, ell)[0] >= cant.x2l(0, ell, ell)[0]
 
@@ -725,10 +754,10 @@ def test_leaf_group_range_check():
     rows, columns = graded_split(1, 4)
     for phase in (rows, columns):
         fam = _N2X._replace(split=lambda d, ell: (phase,))
-        buf = CoeffBuffer([5, 6, 7])
+        lay = _Scalar(table, 0, [1, 1], OpCounter(), [5, 6, 7])
         with pytest.raises(ValueError, match="group exceeds parent view"):
-            _walk(_Scalar(table, 0, [1, 1], buf), fam, 0, {(3,): 1}, 0)
-        assert buf.data == [5, 6, 7]
+            _walk(lay, fam, 0, {(3,): 1}, 0)
+        assert lay.values(3) == [5, 6, 7]
 
 
 @pytest.mark.parametrize("family", ["n2x", "x2m"])
@@ -743,10 +772,10 @@ def test_internal_child_group_range_check(family):
     for phase in (rows, columns):
         fam = (_N2X if family == "n2x" else _X2M)._replace(split=lambda d, ell: (phase,))
         data = rand_elems(rng, GF8, size - 1)
-        buf = CoeffBuffer(data)
+        lay = _Scalar(table, 0, [3] * n, OpCounter(), data)
         with pytest.raises(ValueError, match="group exceeds parent view"):
-            _walk(_Scalar(table, 0, [3] * n, buf), fam, 0, {(size - 1,): 1}, 0)
-        assert buf.data == data
+            _walk(lay, fam, 0, {(size - 1,): 1}, 0)
+        assert lay.values(size - 1) == data
 
 
 @pytest.mark.parametrize("n", [1, 3])
