@@ -156,10 +156,6 @@ class _Planes:
         self.taps = [t for t in range(table.field.degree) if modulus >> t & 1]
         self.shifts = {}
 
-    def truncate(self, keep):
-        lanes = (1 << keep) - 1
-        self.planes = [plane & lanes for plane in self.planes]
-
     def values(self, keep):
         return from_planes(self.planes, self.table.field.degree, keep)
 

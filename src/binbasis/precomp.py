@@ -19,6 +19,8 @@ from binbasis.redtree import vertex_bases
 
 def compute_vertex_bases(field, tree, beta):
     """Basis at every vertex, as a tuple indexed by preorder vertex id."""
+    if len(beta) != tree.n:
+        raise ValueError(f"basis has {len(beta)} entries, expected {tree.n}, one per leaf")
     bases = vertex_bases(field, tree, beta)
     if bases is None:
         raise ValueError("basis does not satisfy the tree's splitting conditions")

@@ -32,7 +32,9 @@ bit-plane ones to.
 Each transform is described once, by a family record: its split, the
 steps of its leaf calls, its scratch and phase order, and how (c, ell, b)
 packs into its arguments.  Both layouts run those steps, and CountModel
-prices them; convert and CountModel route through one table of legs.
+prices them.  A convert is planned once, by _convert_plan: the legs of
+each basis from the table _LEGS and the heads of its twists.  convert runs
+that plan and CountModel.convert prices it.
 CountModel replays the splits on lengths alone: all counts are
 data-independent once the table fixes which scaling guards fire, so sweeps
 over every ell are cheap even where execution would not be.
@@ -235,11 +237,20 @@ _M2X = _X2M._replace(inverse=True)
 
 _FAMILIES = {"n2x": _N2X, "x2n": _X2N, "l2x": _L2X, "x2l": _X2L, "x2m": _X2M, "m2x": _M2X}
 
-# The legs of each named basis but lch, into the graded basis and out of it,
-# and whether they carry the x -> beta_0 x twist.  convert runs them and
-# CountModel.convert counts them.
-_LEGS = {"newton": ("n2x", "x2n", False), "lagrange": ("l2x", "x2l", False),
-         "monomial": ("m2x", "x2m", True)}
+# The families of each named basis but lch, into the graded basis and out of
+# it, and whether they carry the x -> beta_0 x twist.  _convert_plan reads
+# them, for convert to run and for CountModel.convert to count.
+_LEGS = {"newton": (_N2X, _X2N, False), "lagrange": (_L2X, _X2L, False),
+         "monomial": (_M2X, _X2M, True)}
+
+
+def _integers(what, *values):
+    """values read by operator.index; ValueError unless each is an integer,
+    so that no float reaches the split caches or CountModel's memo."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise ValueError(f"expected integer {what}, got {', '.join(map(repr, values))}") from None
 
 
 def _args(name, tree, v, c, ell, b):
@@ -249,6 +260,7 @@ def _args(name, tree, v, c, ell, b):
     fam = _FAMILIES.get(name)
     if fam is None:
         raise ValueError(f"unknown transform {name!r}; choose from {', '.join(_FAMILIES)}")
+    v, c, ell, b = _integers("v, c, ell and b", v, c, ell, b)
     if not 0 <= v < len(tree.size):
         raise ValueError(f"vertex {v} out of range for a tree of {len(tree.size)} vertices")
     nv = tree.size[v]
@@ -309,8 +321,9 @@ def _repunit(count, step):
 # leaves(fam, leaf, batches, gap) on the batches of a leaf, and
 # taylor(t, ell, mask, e, expand) as _taylor and scale(w, ell, step, mask, e)
 # as _scale_blocks, which return the additions and the multiplications they
-# made for the caller to charge.  truncate(keep) clears the entries at keep
-# and up, and values(keep) returns the first keep.
+# made for the caller to charge.  values(keep) returns the first keep
+# entries.  n2x, x2n, x2m and m2x touch only the first ell entries of a
+# call (_groups checks it), so the entries past them keep what they held.
 
 
 def _walk(lay, fam, v, batches, e):
@@ -412,10 +425,6 @@ class _Scalar:
         self.counter = counter
         self.data = data + [0] * ((1 << table.tree.size[start]) - len(data))
 
-    def truncate(self, keep):
-        data = self.data
-        data[keep:] = [0] * (len(data) - keep)
-
     def values(self, keep):
         return self.data[:keep]
 
@@ -490,17 +499,19 @@ def _run(table, v, legs, keep, phi_vec, values, counter, twist=(1, 1)):
     layout here and comes out again.
 
     Building the layout checks the values: bit-planes at vertices of 2^9
-    entries or more, the scalar list below.  After each leg the entries at
-    keep and up are cleared, as truncating to keep entries would.  twist
-    holds the heads of the substitution x -> head x run on the first keep
-    entries before the legs and after them, as block scalings with blocks
-    of one entry; a head of 1 runs none.  x2m and m2x ignore phi_vec.
+    entries or more, the scalar list below.  No leg reads an entry at keep
+    or up that an earlier leg wrote: only l2x and x2l reach past their
+    first ell entries, and in a convert l2x can only be the first leg and
+    x2l the last.  twist holds the heads of the substitution x -> head x
+    run on the first keep entries before the legs and after them, as block
+    scalings with blocks of one entry; a head of 1 runs none.  x2m and m2x
+    ignore phi_vec.
     """
     nv = table.tree.size[v]
     if any(fam.leaf is not None for fam, _ in legs):
+        phi_vec = _check_field(table.field, phi_vec, "shift")
         if len(phi_vec) != nv:
             raise ValueError(f"phi vector length {len(phi_vec)}, expected {nv}")
-        phi_vec = _check_field(table.field, phi_vec, "shift")
     if nv >= _PLANES_MIN_DIM:
         # Imported on first use: processes that only run small calls, such
         # as count sweeps and the CLI at small n, never compile it.
@@ -513,7 +524,6 @@ def _run(table, v, legs, keep, phi_vec, values, counter, twist=(1, 1)):
         counter.twist_multiplications += lay.scale(1, keep, head_in, 1, 0)
     for fam, args in legs:
         _walk(lay, fam, v, {args: 1}, 0)
-        lay.truncate(keep)
     if head_out != 1 and keep > 1:
         counter.twist_multiplications += lay.scale(1, keep, head_out, 1, 0)
     return lay.values(keep)
@@ -678,13 +688,27 @@ def scale_by_powers(field, view, w):
                                                            len(view), w)
 
 
-def _check_convert(kind_from, kind_to, tree, ell):
+def _convert_plan(table, kind_from, kind_to, ell):
+    """(legs, twist) of a convert at length ell: the legs of _LEGS, each
+    (family, args) of the call at the root with c = ell and b = 0, and the
+    heads of the x -> head x twists before the legs and after them, 1
+    where none runs."""
     for kind in (kind_from, kind_to):
         if kind not in BASIS_KINDS:
             raise ValueError(f"unknown basis kind {kind!r}")
-    n = tree.size[0]
+    (ell,) = _integers("ell", ell)
+    n = table.tree.size[0]
     if not 1 <= ell <= (1 << n):
         raise ValueError(f"ell {ell} out of range for dimension {n}")
+    legs, twist = [], [1, 1]
+    if kind_from != kind_to:
+        for side, kind, head in ((0, kind_from, table.head[0]), (1, kind_to, table.head_inv[0])):
+            if kind in _LEGS:
+                fam, twisted = _LEGS[kind][side], _LEGS[kind][2]
+                legs.append((fam, fam.pack(n, ell, ell, 0)))
+                if twisted:
+                    twist[side] = head
+    return legs, twist
 
 
 def run_transform(name, v, phi_vec, c, ell, b, data, table):
@@ -708,8 +732,8 @@ def run_transform(name, v, phi_vec, c, ell, b, data, table):
 def convert(field, kind_from, kind_to, beta, tree, lam, ell, coeffs, table):
     """Convert between two named bases; returns (coefficients, OpCounter).
 
-    All pairs route through the graded basis, by the legs in _LEGS.  The
-    substitution needed by the monomial legs is counted in
+    All pairs route through the graded basis, by the legs of _convert_plan.
+    The substitution needed by the monomial legs is counted in
     twist_multiplications; lam is ignored by those legs, which carry no
     evaluation shift.  The table fixes the field, basis and tree, and the
     ones passed must match it.
@@ -721,19 +745,12 @@ def convert(field, kind_from, kind_to, beta, tree, lam, ell, coeffs, table):
     if (field, tuple(beta), tree) != (table.field, table.beta, table.tree):
         raise ValueError("field, basis or tree does not match the table")
     field, tree = table.field, table.tree
-    _check_convert(kind_from, kind_to, tree, ell)
+    legs, twist = _convert_plan(table, kind_from, kind_to, ell)
+    ell = index(ell)
     coeffs = list(coeffs)
     if len(coeffs) != ell:
         raise ValueError(f"expected {ell} coefficients, got {len(coeffs)}")
     (lam,) = _check_field(field, [lam], f"lam {lam}")
-    legs, twist = [], [1, 1]
-    if kind_from != kind_to:
-        for side, kind, head in ((0, kind_from, table.head[0]), (1, kind_to, table.head_inv[0])):
-            if kind in _LEGS:
-                name, twisted = _LEGS[kind][side], _LEGS[kind][2]
-                legs.append(_args(name, tree, 0, ell, ell, 0))
-                if twisted:
-                    twist[side] = head
     counter = OpCounter()
     phi_vec = phi_vector(field, tree, table.head_inv, lam)
     return _run(table, 0, legs, ell, phi_vec, coeffs, counter, twist), counter
@@ -747,14 +764,14 @@ class CountModel:
     table heads.  One memoized replay sums each family's split by group
     multiplicity and prices leaf calls by the family's leaf cost, so
     whole-range ell sweeps are cheap where executing the transforms would
-    not be.  Arguments the executors reject raise the same ValueError here.
+    not be.  convert prices the plan of _convert_plan that convert runs.
+    Arguments the executors reject raise the same ValueError here.
     """
 
     def __init__(self, table):
         self.table = table
         self.tree = table.tree
         self._memo = {}
-        self._legs = {}
 
     def _count(self, fam, v, args):
         """(additions, multiplications) of one executor call of a family."""
@@ -798,32 +815,14 @@ class CountModel:
     def x2l(self, v, c, ell):
         return self.transform("x2l", v, c, ell, 0)[:2]
 
-    def twist(self, ell):
-        """Multiplications of the x -> beta_0 x substitution."""
-        if self.table.beta[0] == 1 or ell < 2:
-            return 0
-        return _scale_muls(1, ell)
-
-    def _leg(self, kind, side, ell):
-        """Totals of convert's leg of kind at ell, into the graded basis
-        (side 0) or out of it (side 1); lch has no legs."""
-        key = (kind, side, ell)
-        hit = self._legs.get(key)
-        if hit is None:
-            hit = (0, 0, 0)
-            if kind in _LEGS:
-                name, twisted = _LEGS[kind][side], _LEGS[kind][2]
-                fam, args = _args(name, self.tree, 0, ell, ell, 0)
-                a, m = self._count(fam, 0, args)
-                hit = (a, m, self.twist(ell) if twisted else 0)
-            self._legs[key] = hit
-        return hit
-
     def convert(self, kind_from, kind_to, ell):
-        """(additions, multiplications, twist_multiplications) of convert()."""
-        _check_convert(kind_from, kind_to, self.tree, ell)
-        if kind_from == kind_to:
-            return (0, 0, 0)
-        a, m, tw = self._leg(kind_from, 0, ell)
-        da, dm, dtw = self._leg(kind_to, 1, ell)
-        return (a + da, m + dm, tw + dtw)
+        """(additions, multiplications, twist_multiplications) of convert():
+        its plan's legs, and 2*ell - 3 per twist by a head other than 1."""
+        legs, twist = _convert_plan(self.table, kind_from, kind_to, ell)
+        a = m = 0
+        for fam, args in legs:
+            da, dm = self._count(fam, 0, args)
+            a, m = a + da, m + dm
+        ell = index(ell)
+        twists = (twist[0] != 1) + (twist[1] != 1) if ell > 1 else 0
+        return (a, m, twists * _scale_muls(1, ell))

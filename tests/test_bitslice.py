@@ -9,7 +9,7 @@ import pytest
 from binbasis import bitslice
 from binbasis.cli import build_basis, build_tree
 from binbasis.field import get_field
-from binbasis.precomp import build_tables, initial_phi_vector, transport
+from binbasis.precomp import build_tables, initial_phi_vector, phi_vector, transport
 from binbasis.transforms import (
     BASIS_KINDS,
     CoeffBuffer,
@@ -298,6 +298,46 @@ def test_convert_one_plane_set_matches_legs(config):
                     want, totals = convert_by_legs(table, kind_from, kind_to, lam, coeffs)
                     assert out == want, (kind_from, kind_to, ell, lam)
                     assert ctr.totals() == totals == model.convert(kind_from, kind_to, ell)
+
+
+@pytest.mark.parametrize("config", [(16, "cantor", "cantor", 5), (16, "cantor", "cantor", 9),
+                                    (32, "random:4", "trivial", 5), (32, "random:4", "trivial", 9)],
+                         ids=["gf16-cantor-cantor-n5", "gf16-cantor-cantor-n9",
+                              "gf32-random-comb-n5", "gf32-random-comb-n9"])
+def test_convert_legs_need_no_truncation(config):
+    # _run clears nothing between the legs of a convert.  So n2x, x2n, x2m
+    # and m2x must leave the entries at ell and up as they found them and
+    # read none of them: planted junk stays, and the first ell outputs and
+    # the counts equal those of a zero-padded run, on either layout.  Then
+    # every convert pair equals its legs run as separate calls.
+    table = make_table(*config)
+    field, tree, n = table.field, table.tree, config[3]
+    size = 1 << n
+    layout = bitslice._Planes if n >= _PLANES_MIN_DIM else _Scalar
+    rng = random.Random(str(config))
+    lam = rng.randrange(2, field.order)
+    phi_vec = phi_vector(field, tree, table.head_inv, lam)
+    for ell in ((size >> 1) + 3, size - 5):
+        data = [rng.randrange(field.order) for _ in range(ell)]
+        junk = [rng.randrange(1, field.order) for _ in range(size - ell)]
+        for name in ("n2x", "x2n", "x2m", "m2x"):
+            fam, args = _args(name, tree, 0, ell, ell, 0)
+            runs = []
+            for values in (data, data + junk):
+                counter = OpCounter()
+                lay = layout(table, 0, phi_vec, counter, values)
+                _walk(lay, fam, 0, {args: 1}, 0)
+                runs.append((lay.values(size), counter.totals()))
+            (padded, totals), (planted, planted_totals) = runs
+            assert planted[ell:] == junk, (name, ell)
+            assert planted[:ell] == padded[:ell] and planted_totals == totals, (name, ell)
+        for kind_from in BASIS_KINDS:
+            for kind_to in BASIS_KINDS:
+                if kind_from != kind_to:
+                    out, ctr = convert(field, kind_from, kind_to, table.beta, tree, lam, ell,
+                                       data, table)
+                    want, totals = convert_by_legs(table, kind_from, kind_to, lam, data)
+                    assert out == want and ctr.totals() == totals, (kind_from, kind_to, ell)
 
 
 @pytest.mark.parametrize("config", [(16, "cantor", "cantor", 9), (32, "random:4", "trivial", 9)],

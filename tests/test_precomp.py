@@ -79,6 +79,16 @@ def test_vertex_bases_rejects_invalid_pair():
         compute_vertex_bases(f, tree, beta)
 
 
+def test_vertex_bases_report_basis_length():
+    # A basis of the wrong length was reported as failing the tree's
+    # splitting conditions.
+    f = get_field(16)
+    with pytest.raises(ValueError, match="basis has 3 entries, expected 4"):
+        build_tables(f, build_cantor_tree(4), construct_cantor(f, 3))
+    with pytest.raises(ValueError, match="basis has 5 entries, expected 4"):
+        compute_vertex_bases(f, build_trivial(4), construct_cantor(f, 5))
+
+
 def pow_chain(field, g, n):
     x = 1
     for _ in range(n):

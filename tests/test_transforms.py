@@ -546,6 +546,48 @@ def test_non_integers_raise_value_error(n, degree):
     assert out == want and ctr.totals() == totals.totals()
     assert all(type(x) is int for x in out)
 
+
+def test_float_arguments_do_not_poison_caches():
+    # A float v, c, ell or b reached the shared split caches and the count
+    # memo: CountModel returned float counts, and later calls with the equal
+    # int, whose cache keys match, raised TypeError or returned floats too.
+    table = build_tables(GF16, build_cantor_tree(4), construct_cantor(GF16, 4))
+    field, beta, tree = table.field, table.beta, table.tree
+    phi, data = [0] * 4, [1, 2, 3]
+    model = CountModel(table)
+    with pytest.raises(ValueError, match="expected integer ell, got 3.0"):
+        model.convert("newton", "lch", 3.0)
+    with pytest.raises(ValueError, match="expected integer ell, got 3.0"):
+        convert(field, "newton", "lch", beta, tree, 0, 3.0, data, table)
+    for v, c, ell, b in ((0.0, 3, 3, 0), (0, 3.0, 3, 0), (0, 3, 3.0, 0), (0, 2, 3, 1.0)):
+        for name in ("n2x", "l2x", "x2m"):
+            with pytest.raises(ValueError, match="expected integer v, c, ell and b"):
+                model.transform(name, v, c, ell, b)
+            with pytest.raises(ValueError, match="expected integer v, c, ell and b"):
+                run_transform(name, v, phi, c, ell, b, data, table)
+    counts = CountModel(table).convert("newton", "lch", 3)
+    assert all(type(x) is int for x in counts)
+    assert CountModel(table).convert("newton", "lch", Index(3)) == counts
+    out, ctr = convert(field, "newton", "lch", beta, tree, 0, 3, data, table)
+    assert ctr.totals() == counts
+    assert convert(field, "newton", "lch", beta, tree, 0, Index(3), data, table)[0] == out
+    assert run_transform("n2x", 0, phi, 3, 3, 0, data, table)[1].totals() == \
+        model.transform("n2x", 0, 3, 3, 0)
+
+
+def test_missing_shift_vector_raises_value_error():
+    # A shifted transform given no shift vector raised TypeError from len().
+    table = build_tables(GF16, build_trivial(4), valid_random_basis(GF16, 4, 2))
+    for name in ("n2x", "x2n", "l2x", "x2l"):
+        with pytest.raises(ValueError, match="shift outside GF"):
+            run_transform(name, 0, None, 5, 5, 0, [1] * 5, table)
+    with pytest.raises(ValueError, match="shift outside GF"):
+        n2x(0, None, 5, CoeffBuffer([1] * 5).view(), table)
+    # x2m and m2x read no shift vector.
+    assert run_transform("x2m", 0, None, 5, 5, 0, [1] * 5, table)[0] == \
+        run_transform("x2m", 0, [0] * 4, 5, 5, 0, [1] * 5, table)[0]
+
+
 def test_convert_twist_counter():
     rng = random.Random(444)
     scaled = SMALL[-3]
