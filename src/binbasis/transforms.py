@@ -34,10 +34,10 @@ steps of its leaf calls, its scratch and phase order, and how (c, ell, b)
 packs into its arguments.  Both layouts run those steps, and CountModel
 prices them.  A convert is planned once, by _convert_plan: the legs of
 each basis from the table _LEGS and the heads of its twists.  convert runs
-that plan and CountModel.convert prices it.
-CountModel replays the splits on lengths alone: all counts are
-data-independent once the table fixes which scaling guards fire, so sweeps
-over every ell are cheap even where execution would not be.
+that plan and CountModel.convert prices it.  _walk and CountModel read one
+cached split schedule, _groups, and the replay needs lengths alone: all
+counts are data-independent once the table fixes which scaling guards
+fire, so sweeps over every ell are cheap even where execution would not be.
 """
 
 from collections import namedtuple
@@ -90,6 +90,7 @@ class CoeffView:
     __slots__ = ("buffer", "length")
 
     def __init__(self, buffer, length):
+        (length,) = _integers("view length", length)
         if length < 1:
             raise ValueError("bad view geometry")
         if length > len(buffer.data):
@@ -122,7 +123,6 @@ def _clog2(x):
 # Inverse twins walk the phases of the same split in reverse order.
 
 
-@lru_cache(maxsize=256)
 def graded_split(d, ell):
     """Split of n2x, x2n, x2m and m2x at length ell: rows, then columns."""
     w = 1 << d
@@ -134,7 +134,6 @@ def graded_split(d, ell):
              (False, l2, min(w, ell) - l2, False, (l1,))))
 
 
-@lru_cache(maxsize=256)
 def l2x_split(d, c, ell, b):
     """Split of l2x: child args (c, ell, b)."""
     w = 1 << d
@@ -152,7 +151,6 @@ def l2x_split(d, c, ell, b):
              (False, s, c2 - s, False, (c1 + 1, l1, 0))))
 
 
-@lru_cache(maxsize=256)
 def x2l_split(d, c, ell):
     """Split of x2l: child args (c, ell)."""
     w = 1 << d
@@ -221,11 +219,12 @@ def _x2l_pack(nv, c, ell, b):
     return (c, ell)
 
 
-# A family record describes one transform.  key names its counts in
-# CountModel's memo; inverse twins cost the same and share it.  leaf gives
-# a leaf call's steps, and is None for x2m and m2x, whose calls of length 2
-# or less do nothing.  full says whether children see their whole 2^n
-# scratch, and inverse whether the phases of the split run in reverse.
+# A family record describes one transform; its split reaches the walk and
+# CountModel only as the cached schedule of _groups.  key names its counts
+# in CountModel's memo, which inverse twins share.  leaf gives a leaf call's
+# steps; it is None for x2m and m2x, whose calls of length 2 or less do
+# nothing.  full says whether children see their whole 2^n scratch, and
+# inverse whether the phases of the split run in reverse.
 _Family = namedtuple("_Family", "key split leaf full inverse pack")
 
 _N2X = _Family("n2x", graded_split, _graded_leaf, False, False, _graded_pack)
@@ -246,7 +245,7 @@ _LEGS = {"newton": (_N2X, _X2N, False), "lagrange": (_L2X, _X2L, False),
 
 def _integers(what, *values):
     """values read by operator.index; ValueError unless each is an integer,
-    so that no float reaches the split caches or CountModel's memo."""
+    so that no float reaches the schedule cache or CountModel's memo."""
     try:
         return tuple(map(index, values))
     except TypeError:
@@ -269,21 +268,21 @@ def _args(name, tree, v, c, ell, b):
     return fam, fam.pack(nv, c, ell, b)
 
 
-def _groups(fam, v, args, tree):
-    """Child groups of internal vertex v for the calls with args, phase by
-    phase in the order they run.
+# Schedules are table-free.  4096 entries keep a count sweep's until the
+# next table of the same tree shape replays them; 1024 and 2048 did not.
+@lru_cache(maxsize=4096)
+def _groups(fam, d, dh, args):
+    """Child groups of the calls with args at a vertex whose alpha and delta
+    children have dimensions d and dh, phase by phase in the order they run.
 
     Every group is checked against the calls' view length before any is
     run.  Children of l2x and x2l see their whole 2^n scratch, the others
-    their ell entries.  Each group is (row, first, count, shifted, args),
-    where shifted counts the rows that charge an advance.
+    their ell entries.  Each group is (row, first, count, adds, args), with
+    adds the d additions on mu per call of a shifted row, else 0.
     """
-    va = tree.alpha[v]
-    d = tree.size[va]
-    w = 1 << d
-    height = 1 << tree.size[tree.delta[v]]
+    w, height = 1 << d, 1 << dh
     leaf, full = fam.leaf, fam.full
-    n = (1 << tree.size[v]) if full else args[0]
+    n = w * height if full else args[0]
     phases = fam.split(d, *args)
     out = []
     for phase in (reversed(phases) if fam.inverse else phases):
@@ -298,9 +297,9 @@ def _groups(fam, v, args, tree):
                 last = first + count + w * ((height if full else cargs[0]) - 1)
             if first < 0 or last > n:
                 raise ValueError("child group exceeds parent view")
-            groups.append((row, first, count, count if shift and leaf else 0, cargs))
-        out.append(groups)
-    return out
+            groups.append((row, first, count, d if shift and leaf else 0, cargs))
+        out.append(tuple(groups))
+    return tuple(out)
 
 
 def _repunit(count, step):
@@ -323,7 +322,7 @@ def _repunit(count, step):
 # as _scale_blocks, which return the additions and the multiplications they
 # made for the caller to charge.  values(keep) returns the first keep
 # entries.  n2x, x2n, x2m and m2x touch only the first ell entries of a
-# call (_groups checks it), so the entries past them keep what they held.
+# call (the schedule checks it), so the entries past them keep what they held.
 
 
 def _walk(lay, fam, v, batches, e):
@@ -349,7 +348,8 @@ def _walk(lay, fam, v, batches, e):
                 ctr.multiplications += muls * span
         return
     d = tree.size[va]
-    phased = [_groups(fam, v, args, tree) for args in batches]
+    dh = tree.size[tree.delta[v]]
+    phased = [_groups(fam, d, dh, args) for args in batches]
     xm = fam.leaf is None
     if xm:
         # x2m runs its block scaling and Taylor inverse after its children,
@@ -366,12 +366,12 @@ def _walk(lay, fam, v, batches, e):
     for phase in zip(*phased):
         rows, cols = {}, {}
         for mask, groups in zip(masks, phase):
-            for row, first, count, shifted, args in groups:
+            for row, first, count, adds, args in groups:
                 if not row:
                     cols[args] = cols.get(args, 0) | mask * _repunit(count, cstep) << cstep * first
                     continue
-                if shifted:
-                    ctr.additions += d * shifted * mask.bit_count()
+                if adds:
+                    ctr.additions += adds * count * mask.bit_count()
                 rows[args] = rows.get(args, 0) | mask * _repunit(count, rstep) << rstep * first
         if rows:
             _walk(lay, fam, va, rows, e)
@@ -619,6 +619,7 @@ def _taylor(t, ell, data, offs, s, expand):
 
 def _taylor_view(t, ell, view, expand):
     """_taylor on one view of length ell."""
+    t, ell = _integers("t and ell", t, ell)
     if view.length != ell:
         raise ValueError(f"view length {view.length}, expected {ell}")
     buf = view.buffer
@@ -761,11 +762,11 @@ class CountModel:
 
     Counts are data-independent: the recursion shape depends only on the
     vertex and length parameters, and the scaling guards only on stored
-    table heads.  One memoized replay sums each family's split by group
-    multiplicity and prices leaf calls by the family's leaf cost, so
+    table heads.  One memoized replay sums the walk's schedule, _groups, by
+    group count and prices leaf calls by the family's leaf cost, so
     whole-range ell sweeps are cheap where executing the transforms would
     not be.  convert prices the plan of _convert_plan that convert runs.
-    Arguments the executors reject raise the same ValueError here.
+    What the executors reject raises the same ValueError here.
     """
 
     def __init__(self, table):
@@ -782,18 +783,16 @@ class CountModel:
             return hit
         tree = self.tree
         va = tree.alpha[v]
-        if va < 0 or fam.leaf is None and args[0] <= 2:
+        if va < 0:
             hit = _leaf_cost(fam.leaf(args)) if fam.leaf else (0, 0)
         else:
             vd, d = tree.delta[v], tree.size[va]
-            shifted = fam.leaf is not None
             a = m = 0
-            for phase in fam.split(d, *args):
-                for row, _, count, shift, cargs in phase:
-                    if count:
-                        ca, cm = self._count(fam, va if row else vd, cargs)
-                        a += count * (ca + d * (shift and shifted))
-                        m += count * cm
+            for phase in _groups(fam, d, tree.size[vd], args):
+                for row, _, count, adds, cargs in phase:
+                    ca, cm = self._count(fam, va if row else vd, cargs)
+                    a += count * (ca + adds)
+                    m += count * cm
             if fam.leaf is None:
                 ell, w = args[0], 1 << d
                 a += _taylor_adds(w, ell)

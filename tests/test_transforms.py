@@ -38,6 +38,7 @@ from binbasis.transforms import (
     _X2M,
     _Scalar,
     _taylor_adds,
+    _groups,
     _walk,
     convert,
     graded_split,
@@ -153,6 +154,17 @@ def test_strided_view_geometry():
         head[4]
     with pytest.raises(ValueError):
         buf.view(9)
+    # A float length was accepted and x2m then ran on it, scale_by_powers on
+    # one raised TypeError from len(), and a str length raised TypeError.
+    table = build_tables(GF8, build_cantor_tree(2), construct_cantor(GF8, 2))
+    for length in (3.0, "2"):
+        with pytest.raises(ValueError, match="expected integer view length"):
+            buf.view(length)
+    with pytest.raises(ValueError, match="expected integer view length"):
+        x2m(0, 3, CoeffBuffer([1, 2, 3, 4]).view(3.0), table)
+    with pytest.raises(ValueError, match="expected integer view length"):
+        scale_by_powers(GF8, CoeffBuffer([1, 2, 3]).view(2.0), 3)
+    assert type(buf.view(Index(3)).length) is int
 
 
 def test_scale_by_powers():
@@ -573,6 +585,17 @@ def test_float_arguments_do_not_poison_caches():
     assert convert(field, "newton", "lch", beta, tree, 0, Index(3), data, table)[0] == out
     assert run_transform("n2x", 0, phi, 3, 3, 0, data, table)[1].totals() == \
         model.transform("n2x", 0, 3, 3, 0)
+    # A float Taylor t or ell raised AttributeError from _clog2.
+    for t, ell in ((2, 4.0), (2.0, 4)):
+        for run in (taylor_expand, taylor_inverse):
+            buf = CoeffBuffer([1, 2, 3, 4])
+            with pytest.raises(ValueError, match="expected integer t and ell"):
+                run(t, ell, buf.view())
+            assert buf.data == [1, 2, 3, 4] and buf.counter.totals() == (0, 0, 0)
+    buf, want = CoeffBuffer([1, 2, 3, 4]), CoeffBuffer([1, 2, 3, 4])
+    taylor_expand(Index(2), Index(4), buf.view())
+    taylor_expand(2, 4, want.view())
+    assert buf.data == want.data and buf.counter.totals() == want.counter.totals()
 
 
 def test_missing_shift_vector_raises_value_error():
@@ -800,6 +823,9 @@ def test_leaf_group_range_check():
         with pytest.raises(ValueError, match="group exceeds parent view"):
             _walk(lay, fam, 0, {(3,): 1}, 0)
         assert lay.values(3) == [5, 6, 7]
+        # The replay reads the same checked schedule, so it rejects it too.
+        with pytest.raises(ValueError, match="child group exceeds parent view"):
+            CountModel(table)._count(fam, 0, (3,))
 
 
 @pytest.mark.parametrize("family", ["n2x", "x2m"])
@@ -818,6 +844,36 @@ def test_internal_child_group_range_check(family):
         with pytest.raises(ValueError, match="group exceeds parent view"):
             _walk(lay, fam, 0, {(size - 1,): 1}, 0)
         assert lay.values(size - 1) == data
+        with pytest.raises(ValueError, match="child group exceeds parent view"):
+            CountModel(table)._count(fam, 0, (size - 1,))
+
+
+@pytest.mark.parametrize("n", [6, 9])
+def test_schedule_cache_is_keyed_by_what_it_reads(n):
+    # _groups is shared across tables, keyed by the children's dimensions
+    # and the call's args.  Two tables of one n with other trees and fields,
+    # run interleaved on a warm cache, must give what a cold cache gives.
+    f32 = get_field(32)
+    tables = [build_tables(GF16, build_cantor_tree(n), construct_cantor(GF16, n)),
+              build_tables(f32, build_trivial(n), random_basis(f32, n, random.Random(5)))]
+    rng = random.Random(n)
+    calls = []
+    for a in BASIS_KINDS:
+        for b in BASIS_KINDS:
+            if a != b:
+                for ell in ((1 << n), (1 << n - 1) + 3, rng.randrange(2, 1 << n)):
+                    for table in tables:
+                        calls.append((table, a, b, ell, rand_elems(rng, table.field, ell)))
+
+    def run(table, a, b, ell, coeffs):
+        out, ctr = convert(table.field, a, b, table.beta, table.tree, 5, ell, coeffs, table)
+        return out, ctr.totals(), CountModel(table).convert(a, b, ell)
+
+    warm = [run(*call) for call in calls]
+    for call, got in zip(calls, warm):
+        _groups.cache_clear()
+        assert run(*call) == got
+        assert got[1] == got[2]
 
 
 @pytest.mark.parametrize("n", [1, 3])
