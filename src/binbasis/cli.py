@@ -11,6 +11,7 @@ import argparse
 import random
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 from binbasis.basisgen import (
     basis_from_string,
@@ -400,6 +401,9 @@ def cmd_bounds(args):
     return 0
 
 
+# Built once per process: a parse reads the parser and leaves it as it was,
+# and in-process callers run main many times.
+@lru_cache(maxsize=None)
 def build_parser():
     parser = _Parser(prog="binbasis",
                      description="Polynomial basis conversions over GF(2^m) "

@@ -38,6 +38,8 @@ that plan and CountModel.convert prices it.  _walk and CountModel read one
 cached split schedule, _groups, and the replay needs lengths alone: all
 counts are data-independent once the table fixes which scaling guards
 fire, so sweeps over every ell are cheap even where execution would not be.
+One memoized replay serves every CountModel of one tree and one set of
+fired guards, so tables of one tree shape in other fields share it.
 """
 
 from collections import namedtuple
@@ -221,10 +223,11 @@ def _x2l_pack(nv, c, ell, b):
 
 # A family record describes one transform; its split reaches the walk and
 # CountModel only as the cached schedule of _groups.  key names its counts
-# in CountModel's memo, which inverse twins share.  leaf gives a leaf call's
-# steps; it is None for x2m and m2x, whose calls of length 2 or less do
-# nothing.  full says whether children see their whole 2^n scratch, and
-# inverse whether the phases of the split run in reverse.
+# in CountModel's memo, which inverse twins share, so records that share a
+# key must have equal counts.  leaf gives a leaf call's steps; it is None
+# for x2m and m2x, whose calls of length 2 or less do nothing.  full says
+# whether children see their whole 2^n scratch, and inverse whether the
+# phases of the split run in reverse.
 _Family = namedtuple("_Family", "key split leaf full inverse pack")
 
 _N2X = _Family("n2x", graded_split, _graded_leaf, False, False, _graded_pack)
@@ -277,8 +280,10 @@ def _groups(fam, d, dh, args):
 
     Every group is checked against the calls' view length before any is
     run.  Children of l2x and x2l see their whole 2^n scratch, the others
-    their ell entries.  Each group is (row, first, count, adds, args), with
-    adds the d additions on mu per call of a shifted row, else 0.
+    their ell entries; those never read dh, and callers pass 0 for it so
+    that the levels of a comb share entries.  Each group is (row, first,
+    count, adds, args), with adds the d additions on mu per call of a
+    shifted row, else 0.
     """
     w, height = 1 << d, 1 << dh
     leaf, full = fam.leaf, fam.full
@@ -348,7 +353,7 @@ def _walk(lay, fam, v, batches, e):
                 ctr.multiplications += muls * span
         return
     d = tree.size[va]
-    dh = tree.size[tree.delta[v]]
+    dh = tree.size[tree.delta[v]] if fam.full else 0
     phased = [_groups(fam, d, dh, args) for args in batches]
     xm = fam.leaf is None
     if xm:
@@ -757,6 +762,15 @@ def convert(field, kind_from, kind_to, beta, tree, lam, ell, coeffs, table):
     return _run(table, 0, legs, ell, phi_vec, coeffs, counter, twist), counter
 
 
+# Counts read nothing from a table but its tree and which x2m/m2x scaling
+# guards fire, so every CountModel of one tree and one set of guards shares
+# one memo, keyed (family key, v, args).  Two memos are kept: a sweep that
+# replays one tree shape in two fields keeps both if their guards differ.
+@lru_cache(maxsize=2)
+def _memo(tree, guards):
+    return {}
+
+
 class CountModel:
     """Exact operation counts replayed on lengths alone.
 
@@ -765,14 +779,16 @@ class CountModel:
     table heads.  One memoized replay sums the walk's schedule, _groups, by
     group count and prices leaf calls by the family's leaf cost, so
     whole-range ell sweeps are cheap where executing the transforms would
-    not be.  convert prices the plan of _convert_plan that convert runs.
-    What the executors reject raises the same ValueError here.
+    not be.  The memo is shared by every model whose table has the same
+    tree and the same fired guards, whatever its field or basis.  convert
+    prices the plan of _convert_plan that convert runs.  What the
+    executors reject raises the same ValueError here.
     """
 
     def __init__(self, table):
         self.table = table
-        self.tree = table.tree
-        self._memo = {}
+        self.tree = tree = table.tree
+        self._memo = _memo(tree, tuple(table.delta_head(v) != 1 for v in tree.internal_vertices()))
 
     def _count(self, fam, v, args):
         """(additions, multiplications) of one executor call of a family."""
@@ -788,7 +804,7 @@ class CountModel:
         else:
             vd, d = tree.delta[v], tree.size[va]
             a = m = 0
-            for phase in _groups(fam, d, tree.size[vd], args):
+            for phase in _groups(fam, d, tree.size[vd] if fam.full else 0, args):
                 for row, _, count, adds, cargs in phase:
                     ca, cm = self._count(fam, va if row else vd, cargs)
                     a += count * (ca + adds)

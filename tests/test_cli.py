@@ -1,7 +1,13 @@
 """CLI behavior through main(argv): output shape, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import binbasis
 from binbasis.cli import RunConfig, main, resolve_field
 
 
@@ -362,3 +368,20 @@ def test_trees_listing_rejects_flags_it_does_not_read(capsys, extra, flags):
     code, out, err = run(capsys, "trees", *extra)
     assert code == 1 and out == ""
     assert err == f"ERROR: trees without --strategy does not read {flags}\n"
+
+
+def test_repeated_main_matches_fresh_runs(capsys):
+    # main reuses one parser within a process: a good run, a malformed flag
+    # and another command in a row must each print what a fresh process
+    # prints, with the same exit code and at most one ERROR: line.
+    path = (str(Path(binbasis.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    for argv in (("counts", "--field", "16", "--n", "4", "--transform",
+                  "convert:lagrange-monomial"),
+                 ("counts", "--field", "16", "--n", "four"),
+                 ("verify", "--field", "16", "--basis", "cantor", "--tree", "cantor", "--n", "3")):
+        fresh = subprocess.run([sys.executable, "-m", "binbasis.cli", *argv], env=env,
+                               capture_output=True, text=True, check=False)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert err.count("\n") == (code != 0) and err.startswith("ERROR: " if code else ""), argv

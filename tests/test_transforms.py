@@ -39,6 +39,7 @@ from binbasis.transforms import (
     _Scalar,
     _taylor_adds,
     _groups,
+    _memo,
     _walk,
     convert,
     graded_split,
@@ -815,10 +816,14 @@ def test_executor_rejects_bad_views_and_parameters(name, n):
 def test_leaf_group_range_check():
     # A split for a longer ell than the view holds must fail at the group
     # that would leave the view, before the first write.
+    # Each fake has a key of its own: a record that shares a key shares the
+    # memo of CountModel, and the real n2x replayed first on an equal table
+    # would serve the fake's call from it.
     table = build_tables(GF8, build_cantor_tree(2), construct_cantor(GF8, 2))
+    assert CountModel(table)._count(_N2X, 0, (3,)) == (3, 2)
     rows, columns = graded_split(1, 4)
     for phase in (rows, columns):
-        fam = _N2X._replace(split=lambda d, ell: (phase,))
+        fam = _N2X._replace(key="n2x-faulty", split=lambda d, ell: (phase,))
         lay = _Scalar(table, 0, [1, 1], OpCounter(), [5, 6, 7])
         with pytest.raises(ValueError, match="group exceeds parent view"):
             _walk(lay, fam, 0, {(3,): 1}, 0)
@@ -837,8 +842,10 @@ def test_internal_child_group_range_check(family):
     size = 1 << n
     rows, columns = graded_split(table.tree.d_of(0), size)
     rng = random.Random(4)
+    real = _N2X if family == "n2x" else _X2M
+    CountModel(table)._count(real, 0, (size - 1,))
     for phase in (rows, columns):
-        fam = (_N2X if family == "n2x" else _X2M)._replace(split=lambda d, ell: (phase,))
+        fam = real._replace(key=f"{family}-faulty", split=lambda d, ell: (phase,))
         data = rand_elems(rng, GF8, size - 1)
         lay = _Scalar(table, 0, [3] * n, OpCounter(), data)
         with pytest.raises(ValueError, match="group exceeds parent view"):
@@ -872,8 +879,54 @@ def test_schedule_cache_is_keyed_by_what_it_reads(n):
     warm = [run(*call) for call in calls]
     for call, got in zip(calls, warm):
         _groups.cache_clear()
+        _memo.cache_clear()
         assert run(*call) == got
         assert got[1] == got[2]
+
+
+def test_schedule_of_graded_families_is_shared_across_levels():
+    # n2x, x2n, x2m and m2x never read the delta child's dimension, so it
+    # does not key their schedule: on a comb, where every level has d = 1,
+    # a length seen at one level reuses the entry made at another.
+    n = 16
+    table = build_tables(GF16, build_trivial(n), random_basis(GF16, n, random.Random(3)))
+    rng = random.Random(16)
+    ells = [rng.randrange(2, 1 << n) for _ in range(8)]
+    _groups.cache_clear()
+    _memo.cache_clear()
+    model = CountModel(table)
+    for a in BASIS_KINDS:
+        for b in BASIS_KINDS:
+            if a != b:
+                for ell in ells:
+                    model.convert(a, b, ell)
+    assert _groups.cache_info().hits >= 20
+
+
+@pytest.mark.parametrize("n", [6, 9])
+def test_count_memo_is_keyed_by_the_scaling_guards(n):
+    # CountModels of one tree share a memo only if the same x2m/m2x scaling
+    # guards fire.  On GF(2^16) trivial trees the Cantor basis fires none of
+    # them and random:5 fires every one, so the two tables' counts differ.
+    tables = [build_tables(GF16, build_trivial(n), basis)
+              for basis in (construct_cantor(GF16, n), random_basis(GF16, n, random.Random(5)))]
+    if n == 6:
+        assert [CountModel(t).convert("lagrange", "monomial", 61) for t in tables] == \
+            [(937, 188, 0), (937, 527, 119)]
+    rng = random.Random(n)
+    calls = []
+    for a in BASIS_KINDS:
+        for b in BASIS_KINDS:
+            if a != b:
+                for ell in ((1 << n), (1 << n - 1) + 3, rng.randrange(2, 1 << n)):
+                    calls.extend((table, a, b, ell) for table in tables)
+    replayed = [CountModel(table).convert(a, b, ell) for table, a, b, ell in calls]
+    for (table, a, b, ell), got in zip(calls, replayed):
+        coeffs = rand_elems(rng, GF16, ell)
+        _, ctr = convert(GF16, a, b, table.beta, table.tree, 0, ell, coeffs, table)
+        assert ctr.totals() == got
+        _memo.cache_clear()
+        assert CountModel(table).convert(a, b, ell) == got
 
 
 @pytest.mark.parametrize("n", [1, 3])
