@@ -18,10 +18,12 @@ transforms._walk runs the splits and hands each batch, a mask of start
 positions at one stride, to the kernels here.  A level of butterflies
 then costs a fixed number of shifts, masks and XORs per plane, whatever
 the batch size, and a lane-wise product is an m x m AND/XOR schoolbook on
-planes reduced by the modulus taps.  At a leaf, each of the family's leaf
-steps is one masked pass over the lanes of every batch that runs it, so
-one product serves them all; a Taylor level is two masked shift-XOR
-passes.
+planes reduced by the modulus taps.  _product writes that schoolbook out
+as one straight-line function per (m, taps), generated once, so a product
+on a few lanes pays little more than its 2m^2 big-int operations.  At a
+leaf, each of the family's leaf steps is one masked pass over the lanes of
+every batch that runs it, so one product serves them all; a Taylor level
+is two masked shift-XOR passes.
 
 The shift of a leaf call at position p is phi_vec[L] ^ lin_L(p) for its
 leaf L, with lin_L GF(2)-linear in the bits of p; transforms._lin_columns
@@ -33,8 +35,7 @@ same walk and charges the same counts, and stays the reference.
 """
 
 import struct
-from functools import lru_cache, reduce
-from operator import and_, xor
+from functools import lru_cache
 
 from binbasis.transforms import (_lin_columns, _repunit, _scale_muls, _taylor_adds,
                                  _taylor_levels)
@@ -104,22 +105,24 @@ def from_planes(planes, m, count):
     return list(struct.unpack_from(f"<{count}{code}", x.to_bytes(size * w >> 3, "little")))
 
 
-# _TERMS[m][k] slices the factors of the degree-k terms of an m x m
-# schoolbook: a[i0:i1] pairs with the reversed b[j0:j1].
-_TERMS = tuple(tuple((max(k - m + 1, 0), k + 1, max(m - 1 - k, 0), 2 * m - 1 - k)
-                     for k in range(2 * m - 1)) for m in range(33))
-
-
-def _product(a, b, taps):
-    """Lane-wise product of two plane lists modulo x^m + sum of x^t, t in taps."""
-    m = len(a)
-    rb = b[::-1]
-    z = [reduce(xor, map(and_, a[i0:i1], rb[j0:j1])) for i0, i1, j0, j1 in _TERMS[m]]
+@lru_cache(maxsize=8)
+def _product(m, taps):
+    """The lane-wise product of two lists of m planes modulo x^m + sum of
+    x^t, t in taps: one straight-line m x m AND/XOR schoolbook, whose term
+    z_k is the XOR of a_i & b_(k-i), reduced from the top term down.  Its
+    source is built from the ints m and taps alone."""
+    a = ", ".join(f"a{i}" for i in range(m))
+    b = ", ".join(f"b{i}" for i in range(m))
+    lines = ["def product(a, b):", f"    {a}, = a", f"    {b}, = b"]
+    for k in range(2 * m - 1):
+        terms = (f"a{i} & b{k - i}" for i in range(max(k - m + 1, 0), min(k, m - 1) + 1))
+        lines.append(f"    z{k} = {' ^ '.join(terms)}")
     for k in range(2 * m - 2, m - 1, -1):
-        top = z[k]
-        for t in taps:
-            z[k - m + t] ^= top
-    return z[:m]
+        lines += (f"    z{k - m + t} ^= z{k}" for t in taps)
+    lines.append(f"    return [{', '.join(f'z{k}' for k in range(m))}]")
+    scope = {}
+    exec("\n".join(lines), scope)
+    return scope["product"]
 
 
 def leaf_planes(table, v):
@@ -144,7 +147,7 @@ class _Planes:
     values, and its kernels on them.  Building it transposes the values,
     which raises ValueError if one is outside the field."""
 
-    __slots__ = ("table", "start", "phi_vec", "counter", "planes", "taps", "shifts")
+    __slots__ = ("table", "start", "phi_vec", "counter", "planes", "kernel", "shifts")
 
     def __init__(self, table, start, phi_vec, counter, values):
         self.table = table
@@ -152,8 +155,8 @@ class _Planes:
         self.phi_vec = phi_vec
         self.counter = counter
         self.planes = to_planes(values, table.field.degree)
-        modulus = table.field.modulus
-        self.taps = [t for t in range(table.field.degree) if modulus >> t & 1]
+        m, modulus = table.field.degree, table.field.modulus
+        self.kernel = _product(m, tuple(t for t in range(m) if modulus >> t & 1))
         self.shifts = {}
 
     def values(self, keep):
@@ -190,8 +193,7 @@ class _Planes:
         elsewhere; the schoolbook runs on the span of the lanes only."""
         lo = (lanes & -lanes).bit_length() - 1
         crop = lanes >> lo
-        z = _product([c >> lo for c in consts],
-                     [x >> lo + gap & crop for x in self.planes], self.taps)
+        z = self.kernel([c >> lo for c in consts], [x >> lo + gap & crop for x in self.planes])
         return [x << lo for x in z]
 
     def copy_up(self, lanes, gap, add):
@@ -235,7 +237,9 @@ class _Planes:
 
     def scale(self, w, ell, step, mask, e):
         """transforms._scale_blocks: block i of each call times step^i, as one
-        product with constant planes."""
+        product with constant planes; none, and 0 returned, if ell <= w."""
+        if ell <= w or not mask:
+            return 0
         s = 1 << e
         mul = self.table.field.mul
         powers = [0, step]

@@ -491,10 +491,14 @@ def _check_field(field, values, what):
 
 
 # Calls at vertices with 2^n_v >= 512 entries run on bit-planes (bitslice).
-# That is where the two layouts break even on GF(2^16) Cantor trees: on
-# full-length calls (2-vCPU VM) planes ran at 0.53-0.63x the scalar speed
-# at n_v = 8 and 0.89-1.08x at n_v = 9 for the shifted transforms, and at
-# 0.95x and 1.09-1.51x for x2m and m2x; at n_v = 3 they run at 0.10-0.30x.
+# Planes against the scalar speed, per root call (min of 7, 2-vCPU VM) on
+# GF(2^16) cantor/cantor, random:4/trivial and gencantor:2/graft:2 and on
+# GF(2^32) random:4/trivial and cantor/cantor.  At n_v = 8, full-length
+# transforms and converts ran at 0.99-2.1x on GF(2^16) and 0.99-4.1x on
+# GF(2^32), but a ragged l2x at 0.36-0.66x and lagrange->lch at 0.21-0.71x
+# (ell = 173), and other ragged calls at 0.80-1.04x on GF(2^16).  At
+# n_v = 9 full-length calls ran at 1.7-6.0x, other ragged ones at 1.1-3.6x,
+# and a ragged l2x still at 0.33-1.17x (ell = 301).
 _PLANES_MIN_DIM = 9
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from binbasis import bitslice
 from binbasis.cli import build_basis, build_tree
-from binbasis.field import get_field
+from binbasis.field import canonical_modulus, get_field
 from binbasis.precomp import build_tables, initial_phi_vector, phi_vector, transport
 from binbasis.transforms import (
     BASIS_KINDS,
@@ -180,6 +180,44 @@ def test_layout_round_trip(m):
         assert bitslice.from_planes(planes, m, count) == values
 
 
+# Every degree with get_field's modulus, and a dense non-canonical one.
+MODULI = [(m, canonical_modulus(m)) for m in range(1, 33)] + [(16, 0x1FFED)]
+
+
+@pytest.mark.parametrize("m, modulus", MODULI, ids=[f"{m}-{p:x}" for m, p in MODULI])
+def test_product_kernel_matches_field_mul(m, modulus):
+    # The generated schoolbook of (m, taps), lane by lane against Field.mul.
+    field = get_field(m, modulus)
+    kernel = bitslice._product(m, tuple(t for t in range(m) if modulus >> t & 1))
+    rng = random.Random(modulus)
+    for lanes in (1, 65, 4096):
+        a = [rng.randrange(field.order) for _ in range(lanes)]
+        b = [rng.randrange(field.order) for _ in range(lanes)]
+        z = kernel(bitslice.to_planes(a, m), bitslice.to_planes(b, m))
+        assert len(z) == m and not any(plane >> lanes for plane in z), lanes
+        assert bitslice.from_planes(z, m, lanes) == list(map(field.mul, a, b)), lanes
+
+
+@pytest.mark.parametrize("degree", [12, 16, 32])
+def test_plane_product_on_sparse_lanes(degree):
+    # product crops the planes to the span of a sparse mask whose lowest
+    # lane is above 0, reads entry p + gap for lane p, and leaves the
+    # layout's planes alone.
+    table = make_table(degree, "cantor", "cantor", 3)
+    field = table.field
+    rng = random.Random(degree)
+    size, gap = 300, 7
+    values = [rng.randrange(field.order) for _ in range(size)]
+    consts = [rng.randrange(field.order) for _ in range(size)]
+    lanes = sum(1 << p for p in rng.sample(range(5, size - gap), 40))
+    lay = bitslice._Planes(table, 0, [0] * 3, OpCounter(), values)
+    z = lay.product(bitslice.to_planes(consts, degree), lanes, gap)
+    assert not any(plane >> size - gap for plane in z)
+    assert bitslice.from_planes(z, degree, size) == [
+        field.mul(consts[p], values[p + gap]) if lanes >> p & 1 else 0 for p in range(size)]
+    assert lay.values(size) == values
+
+
 @pytest.mark.parametrize("m", [1, 12, 16, 31, 32])
 def test_layout_rejects_values_outside_field(m):
     # A value of m bits or more, or a negative one, is not an element: the
@@ -227,8 +265,10 @@ def test_size_dispatch(n):
 def test_plane_scale_matches_scalar_reference(config):
     # The twist x -> head x is the block scaling with blocks of one entry.
     # On planes, at w = 1 and at the block width of every internal vertex,
-    # scale must give _scale_blocks' entries, and both must return
-    # _scale_muls(w, ell) multiplications.
+    # scale must give _scale_blocks' entries and multiplications, which are
+    # _scale_muls(w, ell) for ell > w.  For ell <= w there is no block past
+    # the first, and an empty mask holds no call: both return 0 and leave
+    # the entries alone.
     table = make_table(*config)
     field, tree, n = table.field, table.tree, config[3]
     size = 1 << n
@@ -239,13 +279,15 @@ def test_plane_scale_matches_scalar_reference(config):
     for w, pair in heads.items():
         for head in pair:
             assert head != 1
-            for ell in (w + 1, size - (w + 1) // 2, size):
+            for ell in sorted({1, w, w + 1, size - (w + 1) // 2, size}):
                 data = [rng.randrange(field.order) for _ in range(ell)]
                 want = list(data)
                 muls = _scale_blocks(field, want, [0], 1, w, ell, head)
                 lay = bitslice._Planes(table, 0, [0] * n, OpCounter(), data)
-                assert lay.scale(w, ell, head, 1, 0) == muls == _scale_muls(w, ell), (w, ell)
+                assert lay.scale(w, ell, head, 1, 0) == muls, (w, ell)
+                assert muls == (_scale_muls(w, ell) if ell > w else 0), (w, ell)
                 assert lay.values(ell) == want, (w, ell)
+                assert lay.scale(w, ell, head, 0, 0) == 0 and lay.values(ell) == want, (w, ell)
 
 
 # The transforms into the graded basis and out of it, per named basis.
