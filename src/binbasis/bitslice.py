@@ -237,8 +237,9 @@ class _Planes:
 
     def scale(self, w, ell, step, mask, e):
         """transforms._scale_blocks: block i of each call times step^i, as one
-        product with constant planes; none, and 0 returned, if ell <= w."""
-        if ell <= w or not mask:
+        product with constant planes; none where _scale_muls prices it at 0."""
+        muls = _scale_muls(w, ell, step) * mask.bit_count()
+        if not muls:
             return 0
         s = 1 << e
         mul = self.table.field.mul
@@ -257,4 +258,4 @@ class _Planes:
         z = self.product(consts, lanes)
         for b, plane in enumerate(x):
             x[b] = plane ^ (plane & lanes) ^ z[b]
-        return _scale_muls(w, ell) * mask.bit_count()
+        return muls

@@ -12,6 +12,7 @@ with the extended Euclidean algorithm over GF(2)[x].
 from __future__ import annotations
 
 import functools
+from operator import index
 
 # Largest degree for which exp/log multiplication tables are built.
 _TABLE_MAX_DEGREE = 16
@@ -222,6 +223,17 @@ class Field:
 
     def __hash__(self) -> int:
         return hash((self.degree, self.modulus))
+
+    def elements(self, values, what: str) -> list[int]:
+        """values as a list of ints, each read by operator.index; ValueError
+        naming what unless each is an element of this field."""
+        try:
+            ints = list(map(index, values))
+        except TypeError:
+            ints = None
+        if ints is None or ints and (min(ints) < 0 or max(ints) >= self.order):
+            raise ValueError(f"{what} outside GF(2^{self.degree})")
+        return ints
 
     # -- raw arithmetic ------------------------------------------------------
 

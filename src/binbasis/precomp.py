@@ -93,7 +93,9 @@ def build_tables(field, tree, beta):
 
 def phi_vector(field, tree, head_inv, lam):
     """(phi_root(u, lam)) over all leaves u, from head_inv, the inverted
-    vertex heads; the zero vector when lam is 0."""
+    vertex heads; the zero vector when lam is 0.  ValueError unless lam is
+    a field element."""
+    (lam,) = field.elements([lam], f"lam {lam}")
     if lam == 0:
         return [0] * tree.size[0]
     return [x for (x,) in transport(field, tree, head_inv, 0, [lam])]

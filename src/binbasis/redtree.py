@@ -11,7 +11,7 @@ Vertices live in a preorder arena: vertex 0 is the root and every subtree
 occupies a contiguous id range, so per-vertex data can be kept in flat lists.
 """
 
-from binbasis.basisgen import alpha_of, delta_of
+from binbasis.basisgen import alpha_of, delta_of, is_independent
 
 LEAF = "*"
 # Fields have degree at most 32, so no usable tree has more than 32 leaves
@@ -132,11 +132,15 @@ class ReductionTree:
 
 def vertex_bases(field, tree, beta):
     """Basis at every vertex by preorder id, or None when the tree does not
-    schedule only subfield-compatible reductions of beta."""
+    schedule only subfield-compatible reductions of beta.  ValueError unless
+    the entries are independent field elements."""
     if tree.n != len(beta):
         return None
+    beta = tuple(field.elements(beta, "basis entry"))
+    if not is_independent(beta):
+        raise ValueError("basis entries are dependent")
     bases = [None] * len(tree.size)
-    bases[0] = tuple(beta)
+    bases[0] = beta
     for v in tree.internal_vertices():
         basis = bases[v]
         d = tree.d_of(v)
@@ -153,7 +157,8 @@ def vertex_bases(field, tree, beta):
 
 
 def validate(field, tree, beta):
-    """True iff the tree schedules only subfield-compatible reductions of beta."""
+    """True iff the tree schedules only subfield-compatible reductions of
+    beta; ValueError as vertex_bases."""
     return vertex_bases(field, tree, beta) is not None
 
 

@@ -76,9 +76,9 @@ class CoeffBuffer:
 
     __slots__ = ("data", "counter")
 
-    def __init__(self, data, counter=None):
+    def __init__(self, data):
         self.data = list(data)
-        self.counter = counter if counter is not None else OpCounter()
+        self.counter = OpCounter()
 
     def view(self, length=None):
         if length is None:
@@ -364,8 +364,7 @@ def _walk(lay, fam, v, batches, e):
         if fam.inverse:
             for (ell,), mask in batches.items():
                 ctr.additions += lay.taylor(w, ell, mask, e, True)
-                if ell > w and head != 1:
-                    ctr.multiplications += lay.scale(w, ell, head, mask, e)
+                ctr.multiplications += lay.scale(w, ell, head, mask, e)
     rstep, cstep = 1 << e + d, 1 << e
     masks = batches.values()
     for phase in zip(*phased):
@@ -384,8 +383,7 @@ def _walk(lay, fam, v, batches, e):
             _walk(lay, fam, tree.delta[v], cols, e + d)
     if xm and not fam.inverse:
         for (ell,), mask in batches.items():
-            if ell > w and head != 1:
-                ctr.multiplications += lay.scale(w, ell, head, mask, e)
+            ctr.multiplications += lay.scale(w, ell, head, mask, e)
             ctr.additions += lay.taylor(w, ell, mask, e, False)
 
 
@@ -423,7 +421,7 @@ class _Scalar:
     __slots__ = ("table", "start", "phi_vec", "counter", "data")
 
     def __init__(self, table, start, phi_vec, counter, values):
-        data = _check_field(table.field, values, "data entry")
+        data = table.field.elements(values, "data entry")
         self.table = table
         self.start = start
         self.phi_vec = phi_vec
@@ -478,18 +476,6 @@ class _Scalar:
         return _scale_blocks(self.table.field, self.data, _offsets(mask), 1 << e, w, ell, step)
 
 
-def _check_field(field, values, what):
-    """values as a list of ints, each read by operator.index as the bit-plane
-    transposition reads it; ValueError unless each is a field element."""
-    try:
-        ints = list(map(index, values))
-    except TypeError:
-        ints = None
-    if ints is None or ints and (min(ints) < 0 or max(ints) >= field.order):
-        raise ValueError(f"{what} outside GF(2^{field.degree})")
-    return ints
-
-
 # Calls at vertices with 2^n_v >= 512 entries run on bit-planes (bitslice).
 # Planes against the scalar speed, per root call (min of 7, 2-vCPU VM) on
 # GF(2^16) cantor/cantor, random:4/trivial and gencantor:2/graft:2 and on
@@ -513,12 +499,12 @@ def _run(table, v, legs, keep, phi_vec, values, counter, twist=(1, 1)):
     first ell entries, and in a convert l2x can only be the first leg and
     x2l the last.  twist holds the heads of the substitution x -> head x
     run on the first keep entries before the legs and after them, as block
-    scalings with blocks of one entry; a head of 1 runs none.  x2m and m2x
-    ignore phi_vec.
+    scalings with blocks of one entry; the scaling kernel skips a head of 1.
+    x2m and m2x ignore phi_vec.
     """
     nv = table.tree.size[v]
     if any(fam.leaf is not None for fam, _ in legs):
-        phi_vec = _check_field(table.field, phi_vec, "shift")
+        phi_vec = table.field.elements(phi_vec, "shift")
         if len(phi_vec) != nv:
             raise ValueError(f"phi vector length {len(phi_vec)}, expected {nv}")
     if nv >= _PLANES_MIN_DIM:
@@ -528,13 +514,10 @@ def _run(table, v, legs, keep, phi_vec, values, counter, twist=(1, 1)):
     else:
         layout = _Scalar
     lay = layout(table, v, phi_vec, counter, values)
-    head_in, head_out = twist
-    if head_in != 1 and keep > 1:
-        counter.twist_multiplications += lay.scale(1, keep, head_in, 1, 0)
+    counter.twist_multiplications += lay.scale(1, keep, twist[0], 1, 0)
     for fam, args in legs:
         _walk(lay, fam, v, {args: 1}, 0)
-    if head_out != 1 and keep > 1:
-        counter.twist_multiplications += lay.scale(1, keep, head_out, 1, 0)
+    counter.twist_multiplications += lay.scale(1, keep, twist[1], 1, 0)
     return lay.values(keep)
 
 
@@ -602,7 +585,8 @@ def _taylor(t, ell, data, offs, s, expand):
     Expanding runs both loop directions high to low: within a block the
     target range overlaps the source range shifted by half a block, and the
     tail of the source must be consumed before it is overwritten.  The
-    inverse makes the same updates with both loop orders reversed.
+    inverse makes the same updates with both loop orders reversed.  The
+    instances touch disjoint entries, so each runs on its own.
     """
     levels = _taylor_levels(t, ell)
     adds = 0
@@ -611,16 +595,9 @@ def _taylor(t, ell, data, offs, s, expand):
         for i in range(l1 + 1):
             n = blk if i < l1 else max(l2 - blk, 0)
             dst = s * (2 * blk * i + half)
-            if n >= len(offs):
-                for o in offs:
-                    targets = range(o + dst, o + dst + s * n, s)
-                    for p in (reversed(targets) if expand else targets):
-                        data[p] ^= data[p + gap]
-            else:
-                # Rows shorter than the batch: one pass over every instance.
-                targets = range(dst, dst + s * n, s)
-                for p in [o + r for r in (reversed(targets) if expand else targets)
-                          for o in offs]:
+            for o in offs:
+                targets = range(o + dst, o + dst + s * n, s)
+                for p in (reversed(targets) if expand else targets):
                     data[p] ^= data[p + gap]
             adds += n
     return adds * len(offs)
@@ -652,7 +629,11 @@ def _scale_blocks(field, data, offs, s, w, ell, step):
     One multiplication per entry past the first block, and one per power
     of step after the first.  Each instance computes its own powers, as a
     call of its own would.  With w = 1 this is the substitution x -> step x.
+    A call with ell <= w or step = 1, as every scaling on a Cantor basis
+    is, does nothing and returns 0; its callers do not test for it.
     """
+    if ell <= w or step == 1:
+        return 0
     mul = field.mul
     muls = 0
     for o in offs:
@@ -667,9 +648,9 @@ def _scale_blocks(field, data, offs, s, w, ell, step):
     return muls
 
 
-def _scale_muls(w, ell):
-    """Multiplications of one _scale_blocks call with ell > w."""
-    return ell - w + -(-ell // w) - 2
+def _scale_muls(w, ell, step):
+    """Multiplications of one _scale_blocks call, 0 where it skips."""
+    return 0 if ell <= w or step == 1 else ell - w + -(-ell // w) - 2
 
 
 def x2m(v, ell, view, table):
@@ -690,12 +671,10 @@ def scale_by_powers(field, view, w):
     """
     if w == 0:
         raise ValueError("scale factor must be nonzero")
-    (w,) = _check_field(field, [w], "scale factor")
+    (w,) = field.elements([w], "scale factor")
     buf = view.buffer
-    _check_field(field, buf.data[:len(view)], "data entry")
-    if w != 1:
-        buf.counter.twist_multiplications += _scale_blocks(field, buf.data, [0], 1, 1,
-                                                           len(view), w)
+    field.elements(buf.data[:len(view)], "data entry")
+    buf.counter.twist_multiplications += _scale_blocks(field, buf.data, [0], 1, 1, len(view), w)
 
 
 def _convert_plan(table, kind_from, kind_to, ell):
@@ -760,7 +739,6 @@ def convert(field, kind_from, kind_to, beta, tree, lam, ell, coeffs, table):
     coeffs = list(coeffs)
     if len(coeffs) != ell:
         raise ValueError(f"expected {ell} coefficients, got {len(coeffs)}")
-    (lam,) = _check_field(field, [lam], f"lam {lam}")
     counter = OpCounter()
     phi_vec = phi_vector(field, tree, table.head_inv, lam)
     return _run(table, 0, legs, ell, phi_vec, coeffs, counter, twist), counter
@@ -816,8 +794,7 @@ class CountModel:
             if fam.leaf is None:
                 ell, w = args[0], 1 << d
                 a += _taylor_adds(w, ell)
-                if ell > w and self.table.delta_head(v) != 1:
-                    m += _scale_muls(w, ell)
+                m += _scale_muls(w, ell, self.table.delta_head(v))
             hit = (a, m)
         memo[key] = hit
         return hit
@@ -843,5 +820,4 @@ class CountModel:
             da, dm = self._count(fam, 0, args)
             a, m = a + da, m + dm
         ell = index(ell)
-        twists = (twist[0] != 1) + (twist[1] != 1) if ell > 1 else 0
-        return (a, m, twists * _scale_muls(1, ell))
+        return (a, m, _scale_muls(1, ell, twist[0]) + _scale_muls(1, ell, twist[1]))

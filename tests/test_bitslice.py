@@ -241,8 +241,11 @@ def test_size_dispatch(n):
     # Calls at 2^n_v >= 512 entries run on planes, smaller ones do not;
     # both give the scalar layout's outputs and CountModel's counts.  On the
     # non-Cantor trees too this checks the planes' shifts one way, which a
-    # round trip cannot.
-    for basis, tree in (("cantor", "cantor"), ("random:4", "trivial"), ("gencantor:2", "graft:2")):
+    # round trip cannot.  On the GF(2^16) tower the x2m/m2x scaling guard
+    # fires at the top internal vertices only (two at n = 9): the planes
+    # then run a table with both kinds of head.
+    for basis, tree in (("cantor", "cantor"), ("random:4", "trivial"), ("gencantor:2", "graft:2"),
+                        ("tower:1-2-4-8-16", "max:1-2-4-8-16")):
         table = make_table(16, basis, tree, n)
         field, size = table.field, 1 << n
         model = CountModel(table)
@@ -266,9 +269,9 @@ def test_plane_scale_matches_scalar_reference(config):
     # The twist x -> head x is the block scaling with blocks of one entry.
     # On planes, at w = 1 and at the block width of every internal vertex,
     # scale must give _scale_blocks' entries and multiplications, which are
-    # _scale_muls(w, ell) for ell > w.  For ell <= w there is no block past
-    # the first, and an empty mask holds no call: both return 0 and leave
-    # the entries alone.
+    # _scale_muls(w, ell, head).  For ell <= w there is no block past the
+    # first, a head of 1 (every head of a Cantor basis) scales by 1, and an
+    # empty mask holds no call: each returns 0 and leaves the entries alone.
     table = make_table(*config)
     field, tree, n = table.field, table.tree, config[3]
     size = 1 << n
@@ -277,15 +280,16 @@ def test_plane_scale_matches_scalar_reference(config):
     for v in tree.internal_vertices():
         heads[1 << tree.size[tree.alpha[v]]] = (table.delta_head(v), table.delta_head_inv(v))
     for w, pair in heads.items():
-        for head in pair:
-            assert head != 1
+        assert 1 not in pair
+        for head in pair + (1,):
             for ell in sorted({1, w, w + 1, size - (w + 1) // 2, size}):
                 data = [rng.randrange(field.order) for _ in range(ell)]
                 want = list(data)
                 muls = _scale_blocks(field, want, [0], 1, w, ell, head)
                 lay = bitslice._Planes(table, 0, [0] * n, OpCounter(), data)
                 assert lay.scale(w, ell, head, 1, 0) == muls, (w, ell)
-                assert muls == (_scale_muls(w, ell) if ell > w else 0), (w, ell)
+                assert muls == _scale_muls(w, ell, head), (w, ell)
+                assert (muls == 0 and want == data) == (ell <= w or head == 1), (w, ell)
                 assert lay.values(ell) == want, (w, ell)
                 assert lay.scale(w, ell, head, 0, 0) == 0 and lay.values(ell) == want, (w, ell)
 

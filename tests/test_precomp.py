@@ -89,6 +89,19 @@ def test_vertex_bases_report_basis_length():
         compute_vertex_bases(f, build_trivial(4), construct_cantor(f, 5))
 
 
+def test_bad_basis_entries_raise_value_error():
+    # A zero entry raised ZeroDivisionError from a head inversion, and a
+    # float one TypeError, in build_tables and validate alike.
+    f = get_field(8)
+    tree = build_trivial(3)
+    for beta, what in (((0, 1, 2), "dependent"), ((1, 0, 2), "dependent"),
+                       ((1, 2, 3), "dependent"), ((1, 2.0, 4), "outside GF"),
+                       ((1, 2, 256), "outside GF"), ((1, -2, 4), "outside GF")):
+        for call in (validate, build_tables):
+            with pytest.raises(ValueError, match=what):
+                call(f, tree, beta)
+
+
 def pow_chain(field, g, n):
     x = 1
     for _ in range(n):
@@ -277,8 +290,12 @@ def test_initial_phi_vector():
     v12 = initial_phi_vector(f, tree, bases, l1 ^ l2)
     assert v12 == [a ^ b for a, b in zip(v1, v2)]
     assert v1 == [phi_recursive(f, tree, bases, 0, u, l1) for u in range(5)]
-    with pytest.raises(ValueError):
-        initial_phi_vector(f, tree, bases, -1)
+    # A float lam raised TypeError ("list indices must be integers").
+    for lam in (-1, f.order, 2.0, 1.5, "1"):
+        with pytest.raises(ValueError, match=f"lam {lam} outside GF"):
+            initial_phi_vector(f, tree, bases, lam)
+        with pytest.raises(ValueError, match=f"lam {lam} outside GF"):
+            phi_vector(f, tree, heads_inv(f, bases), lam)
 
 
 def test_phi_vector_reads_table_heads():
