@@ -7,11 +7,17 @@ raise to powers through exp/log tables. Larger fields multiply with a
 windowed carry-less kernel (4-bit windows, as in the comb method of
 Lopez and Dahab) followed by a byte-at-a-time table reduction, and invert
 with the extended Euclidean algorithm over GF(2)[x].
+
+The exp table is built a block of 256 powers at a time. The kernel
+computes g^0..g^255 of the primitive element g; x -> g^256 x is GF(2)-linear,
+so each later block is the previous one's low and high bytes run through
+byte tables of that map with bytes.translate.
 """
 
 from __future__ import annotations
 
 import functools
+import struct
 from operator import index
 
 # Largest degree for which exp/log multiplication tables are built.
@@ -60,9 +66,20 @@ def is_irreducible(poly: int, degree: int) -> bool:
     return t == x
 
 
-@functools.lru_cache(maxsize=None)
+def _integers(what, *values):
+    """values read by operator.index; ValueError unless each is an integer,
+    so that no float reaches a cache: canonical_modulus, get_field's
+    fields, the schedule cache or CountModel's memo."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise ValueError(f"expected integer {what}, got {', '.join(map(repr, values))}") from None
+
+
+@functools.lru_cache(maxsize=None, typed=True)
 def canonical_modulus(degree: int) -> int:
     """Lexicographically smallest irreducible polynomial of the degree."""
+    (degree,) = _integers("degree", degree)
     if not 1 <= degree <= 32:
         raise ValueError(f"degree must be in 1..32, got {degree}")
     for candidate in range(1 << degree, 1 << (degree + 1)):
@@ -161,6 +178,11 @@ def _factorize(n: int) -> list[int]:
     return primes
 
 
+def _xor_bytes(a: bytes, b: bytes) -> bytes:
+    """XOR of two byte strings of equal length."""
+    return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(len(a), "little")
+
+
 class Field:
     """GF(2^m) with a fixed irreducible modulus.
 
@@ -169,14 +191,17 @@ class Field:
     """
 
     def __init__(self, degree: int, modulus: int | None = None):
+        (degree,) = _integers("degree", degree)
         if not 1 <= degree <= 32:
             raise ValueError(f"degree must be in 1..32, got {degree}")
         if modulus is None:
             modulus = canonical_modulus(degree)
-        elif not is_irreducible(modulus, degree):
-            raise ValueError(
-                f"0x{modulus:x} is not an irreducible polynomial of degree {degree}"
-            )
+        else:
+            (modulus,) = _integers("modulus", modulus)
+            if not is_irreducible(modulus, degree):
+                raise ValueError(
+                    f"0x{modulus:x} is not an irreducible polynomial of degree {degree}"
+                )
         self.degree = degree
         self.modulus = modulus
         self.order = 1 << degree
@@ -354,15 +379,37 @@ class Field:
         g = self.primitive_element()
         mul = self._mul_raw
         n = self.order - 1
-        exp = [0] * (2 * n)
+        powers = [1]
+        for _ in range(min(n, 256)):
+            powers.append(mul(powers[-1], g))
+        step = powers.pop()  # g^256, or g^n = 1 when one block holds every power
+        if n > 256:
+            # Block k + 1 is g^256 times block k.  Power p = lo ^ (hi << 8)
+            # maps to image[lo] ^ image[hi << 8], and each image splits into
+            # its low and high byte: four translate tables in all.
+            tables = []
+            for shift in (0, 8):
+                image = [0]
+                for k in range(shift, min(shift + 8, self.degree)):
+                    bit = mul(step, 1 << k)
+                    image += [u ^ bit for u in image]
+                image += [0] * (256 - len(image))  # no high byte reaches 2^(m-8)
+                tables.append((bytes(u & 0xFF for u in image), bytes(u >> 8 for u in image)))
+            (lo_lo, lo_hi), (hi_lo, hi_hi) = tables
+            lows = [bytes(p & 0xFF for p in powers)]
+            highs = [bytes(p >> 8 for p in powers)]
+            for _ in range(n // 256):
+                lo, hi = lows[-1], highs[-1]
+                lows.append(_xor_bytes(lo.translate(lo_lo), hi.translate(hi_lo)))
+                highs.append(_xor_bytes(lo.translate(lo_hi), hi.translate(hi_hi)))
+            packed = bytearray(2 * 256 * len(lows))
+            packed[0::2] = b"".join(lows)
+            packed[1::2] = b"".join(highs)
+            powers = struct.unpack_from(f"<{n}H", packed)
         log = [0] * self.order
-        t = 1
-        for i in range(n):
-            exp[i] = t
-            exp[i + n] = t
-            log[t] = i
-            t = mul(t, g)
-        self._exp = exp
+        for i, p in enumerate(powers):
+            log[p] = i
+        self._exp = [*powers, *powers]
         self._log = log
 
 
@@ -371,7 +418,9 @@ _FIELDS: dict[tuple[int, int], Field] = {}
 
 def get_field(degree: int, modulus: int | None = None) -> Field:
     """Shared Field instance (table construction is done once per spec)."""
-    key = (degree, canonical_modulus(degree) if modulus is None else modulus)
+    if modulus is None:
+        modulus = canonical_modulus(degree)
+    key = _integers("degree and modulus", degree, modulus)
     if key not in _FIELDS:
         _FIELDS[key] = Field(*key)
     return _FIELDS[key]

@@ -47,6 +47,7 @@ from functools import lru_cache
 from itertools import compress
 from operator import index
 
+from binbasis.field import _integers
 from binbasis.precomp import phi_vector, transport
 
 BASIS_KINDS = ("monomial", "newton", "lagrange", "lch")
@@ -244,15 +245,6 @@ _FAMILIES = {"n2x": _N2X, "x2n": _X2N, "l2x": _L2X, "x2l": _X2L, "x2m": _X2M, "m
 # them, for convert to run and for CountModel.convert to count.
 _LEGS = {"newton": (_N2X, _X2N, False), "lagrange": (_L2X, _X2L, False),
          "monomial": (_M2X, _X2M, True)}
-
-
-def _integers(what, *values):
-    """values read by operator.index; ValueError unless each is an integer,
-    so that no float reaches the schedule cache or CountModel's memo."""
-    try:
-        return tuple(map(index, values))
-    except TypeError:
-        raise ValueError(f"expected integer {what}, got {', '.join(map(repr, values))}") from None
 
 
 def _args(name, tree, v, c, ell, b):

@@ -320,3 +320,41 @@ def test_bad_degree_and_modulus():
         Field(33)
     with pytest.raises(ValueError):
         Field(8, 0x11D ^ 0x1)  # even constant term, divisible by x
+
+
+def test_non_integer_degree_and_modulus():
+    # A float or string degree raised TypeError, a float modulus
+    # AttributeError, and Field(True) printed the spec 'True:0x2', which
+    # does not parse back.
+    get_field(16)  # a cached canonical modulus must not serve 16.0
+    for call in (lambda: Field(16.0), lambda: get_field(16.0), lambda: Field("16"),
+                 lambda: canonical_modulus(16.0), lambda: Field(16, 65579.0),
+                 lambda: get_field(16, 65579.0), lambda: Field(16, "65579")):
+        with pytest.raises(ValueError, match="expected integer"):
+            call()
+    f = Field(True)
+    assert f.spec_string() == Field(1).spec_string() == "1:0x2"  # x is irreducible
+    assert Field.from_spec(f.spec_string()) == f == get_field(True)
+    assert Field(16, True << 16 | 0x2B) == get_field(16)
+
+
+@pytest.mark.parametrize("degree", range(1, 17))
+def test_tables_match_one_product_per_power(degree):
+    # The tables are built a block of 256 powers at a time.  0x14847's
+    # smallest primitive element is 22, so its first block runs the
+    # kernel's window path rather than its small-operand loop.
+    moduli = moduli_under_test(degree) + ([0x14847] if degree == 16 else [])
+    for modulus in moduli:
+        f = Field(degree, modulus)
+        n = f.order - 1
+        g = f.primitive_element()
+        exp, log = [0] * (2 * n), [0] * f.order
+        t = 1
+        for i in range(n):
+            exp[i] = exp[i + n] = t
+            log[t] = i
+            t = f._mul_raw(t, g)
+        assert t == 1
+        assert f._exp == exp and f._log == log, hex(modulus)
+        assert len(f._exp) == 2 * n and f._log[0] == 0
+        assert all(f._exp[i + n] == f._exp[i] and f._log[f._exp[i]] == i for i in range(n))

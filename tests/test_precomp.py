@@ -9,9 +9,11 @@ from binbasis.basisgen import (
     construct_tower_basis,
     delta_of,
     enumerate_point,
+    is_independent,
     random_basis,
     tower_from_string,
 )
+from binbasis.cli import build_basis, build_tree
 from binbasis.field import get_field
 from binbasis.precomp import (
     build_tables,
@@ -100,6 +102,31 @@ def test_bad_basis_entries_raise_value_error():
         for call in (validate, build_tables):
             with pytest.raises(ValueError, match=what):
                 call(f, tree, beta)
+
+
+@pytest.mark.parametrize("degree, configs", [
+    (16, (("cantor", "cantor", 16), ("random:1", "trivial", 12),
+          ("tower:1-2-4-8-16", "max:1-2-4-8-16", 16),
+          ("tower:1-2-4-8-16", "balanced:1-2-4-8-16", 16), ("gencantor:2", "graft:2", 12))),
+    (24, (("cantor", "cantor", 8), ("random:1", "trivial", 12),
+          ("tower:1-2-4-8-24", "max:1-2-4-8-24", 12),
+          ("tower:1-3-6-12-24", "balanced:1-3-6-12-24", 24), ("gencantor:3", "graft:3", 12))),
+    (32, (("cantor", "cantor", 16), ("random:1", "trivial", 16),
+          ("tower:1-2-4-8-16-32", "max:1-2-4-8-16-32", 20),
+          ("tower:1-2-4-8-16-32", "balanced:1-2-4-8-16-32", 20), ("gencantor:4", "graft:4", 16))),
+])
+def test_vertex_bases_stay_independent(degree, configs):
+    # Under the splitting condition the quotients b_i/b_0, i < d, span
+    # GF(2^d), the kernel of q -> q^(2^d) - q, so the delta child's image
+    # of an independent suffix is independent: build_tables checks the root
+    # basis only.
+    f = get_field(degree)
+    for source, strategy, n in configs:
+        tree = build_tree(strategy, n)
+        table = build_tables(f, tree, build_basis(f, source, n))
+        for v in tree.vertices():
+            assert len(table.bases[v]) == tree.size[v]
+            assert is_independent(table.bases[v]), (source, strategy, v)
 
 
 def pow_chain(field, g, n):
