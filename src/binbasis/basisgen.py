@@ -214,7 +214,7 @@ def make_quadratic_trace_basis(field, s):
     a quadratic extension), so the pair is a basis of GF(2^2s)/GF(2^s).
     """
     e = 2 * s
-    if field.degree % e:
+    if s <= 0 or field.degree % e:
         raise ValueError(f"GF(2^{e}) is not a subfield of GF(2^{field.degree})")
     return (1, _trace_one(field, s, e))
 
@@ -237,9 +237,9 @@ def subfield_basis_powers(field, d_sub, d_sup):
     xi generates the multiplicative group of GF(2^d_sup), hence has degree
     exactly d_sup/d_sub over the smaller field.
     """
-    if d_sup % d_sub:
+    if d_sub <= 0 or d_sup % d_sub:
         raise ValueError(f"{d_sub} does not divide {d_sup}")
-    if field.degree % d_sup:
+    if d_sup <= 0 or field.degree % d_sup:
         raise ValueError(f"GF(2^{d_sup}) is not a subfield of GF(2^{field.degree})")
     count = d_sup // d_sub
     xi = field.subfield_generator(d_sup)

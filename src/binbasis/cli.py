@@ -10,7 +10,7 @@ ERROR: line on stderr.
 import argparse
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 from binbasis.basisgen import (
@@ -37,12 +37,24 @@ from binbasis.redtree import (
 )
 from binbasis.transforms import BASIS_KINDS, CountModel, convert, run_transform
 
-# Raw transforms and the family of their default bounds, <family>_add/_mul.
-BOUND_FAMILIES = {"n2x": "newton", "x2n": "newton", "l2x": "l2x", "x2l": "x2l",
-                  "x2m": "monomial", "m2x": "monomial"}
+# Raw transforms: the bases verify checks each one between, and the family
+# of its default bounds, <family>_add/_mul.
+RAW_TRANSFORMS = {
+    "n2x": ("newton", "lch", "newton"),
+    "x2n": ("lch", "newton", "newton"),
+    "l2x": ("lagrange", "lch", "l2x"),
+    "x2l": ("lch", "lagrange", "x2l"),
+    "x2m": ("lch_twisted", "monomial", "monomial"),
+    "m2x": ("monomial", "lch_twisted", "monomial"),
+}
 
 STRATEGY_FORMS = ("trivial", "cantor", "max:<tower>", "balanced:<tower>",
                   "graft:<t>", "explicit:<serialized>")
+
+# The options that have a default; every other one defaults to None, so
+# that trees can tell which flags were given.
+DEFAULTS = {"basis": "cantor", "tree": "trivial", "transform": "n2x", "lam": "0",
+            "calc": False}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,77 +62,65 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-# The keys of a config string, in the order to_string prints them.
-_CONFIG_KEYS = ("field", "basis", "tree", "n", "transform", "ell", "lam", "c", "b", "calc", "out")
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    """One fully resolved invocation; round-trips through its string form."""
+    """One fully resolved invocation; round-trips through its string form,
+    the `# config:` header, whose keys are these fields in order."""
 
-    field_spec: str
+    field: str
     basis: str
     tree: str
     n: int
     transform: str
-    ell_lo: int
-    ell_hi: int
+    ell: tuple[int, int]
     lam: str
-    c: int
-    b: int
+    c: int | None
+    b: int | None
     calc: bool
-    out: str
+    out: str | None
 
     def to_string(self):
-        dash = lambda v: "-" if v is None else v
-        return " ".join((
-            f"field={self.field_spec}",
-            f"basis={self.basis}",
-            f"tree={self.tree}",
-            f"n={self.n}",
-            f"transform={self.transform}",
-            f"ell={self.ell_lo}:{self.ell_hi}",
-            f"lam={self.lam}",
-            f"c={dash(self.c)}",
-            f"b={dash(self.b)}",
-            f"calc={int(self.calc)}",
-            f"out={dash(self.out)}",
-        ))
+        return " ".join(f"{key.name}={_show(getattr(self, key.name))}"
+                        for key in fields(self))
 
     @classmethod
     def from_string(cls, text):
-        """The config to_string printed; ValueError for an unknown or
-        repeated key and for calc other than 0 or 1, which would not print
-        back the same."""
-        vals = {}
-        for token in text.split():
-            key, sep, value = token.partition("=")
-            if not sep or key not in _CONFIG_KEYS:
-                raise ValueError(f"bad config token {token!r}")
-            if key in vals:
-                raise ValueError(f"repeated config key {key!r}")
-            vals[key] = value
+        """The config that to_string printed as text; ValueError for text it
+        would not print, such as an unknown, repeated or missing key, keys
+        out of order, calc=7 or n=04."""
         try:
-            if vals["calc"] not in ("0", "1"):
-                raise ValueError(f"calc={vals['calc']}; need 0 or 1")
-            lo, hi = vals["ell"].split(":")
-            undash = lambda v: None if v == "-" else v
-            return cls(
-                field_spec=vals["field"],
-                basis=vals["basis"],
-                tree=vals["tree"],
-                n=int(vals["n"]),
-                transform=vals["transform"],
-                ell_lo=int(lo),
-                ell_hi=int(hi),
-                lam=vals["lam"],
-                c=None if vals["c"] == "-" else int(vals["c"]),
-                b=None if vals["b"] == "-" else int(vals["b"]),
-                calc=vals["calc"] == "1",
-                out=undash(vals["out"]),
-            )
+            vals = dict(token.split("=", 1) for token in text.split())
+            cfg = cls(**{key.name: _READERS.get(key.name, str)(vals[key.name])
+                         for key in fields(cls)})
         except (KeyError, ValueError) as exc:
             raise ValueError(f"bad config string: {exc}")
+        if cfg.to_string() != text:
+            raise ValueError(f"bad config string {text!r}; it prints as {cfg.to_string()!r}")
+        return cfg
+
+
+def _show(value):
+    """A header value: - for None, 0/1 for the flag, lo:hi for the pair."""
+    if value is None:
+        return "-"
+    if isinstance(value, tuple):
+        return "{}:{}".format(*value)
+    return str(int(value) if isinstance(value, bool) else value)
+
+
+def _dashed(read):
+    """read, with - for None."""
+    return lambda text: None if text == "-" else read(text)
+
+
+def _pair(text):
+    lo, hi = text.split(":")
+    return int(lo), int(hi)
+
+
+# The reader of each header value not kept as text.
+_READERS = {"n": int, "ell": _pair, "c": _dashed(int), "b": _dashed(int),
+            "calc": lambda text: text == "1", "out": _dashed(str)}
 
 
 def resolve_field(spec):
@@ -130,30 +130,36 @@ def resolve_field(spec):
     return get_field(int(spec))
 
 
-def _block_size(spec):
+def _kind_arg(spec):
+    """(kind, arg) of a spec; the kind keeps its colon, so that `cantor:x`
+    and a bare `graft` match no kind."""
+    head, sep, arg = spec.partition(":")
+    return head + sep, arg
+
+
+def _block_size(arg, spec):
     """The block size t of a `gencantor:<t>` or `graft:<t>` spec."""
-    t = int(spec.split(":", 1)[1])
+    t = int(arg)
     if t < 1:
         raise ValueError(f"block size in {spec!r} must be at least 1")
     return t
 
 
 def build_basis(field, source, n):
-    if source == "cantor":
+    kind, arg = _kind_arg(source)
+    if kind == "cantor":
         return construct_cantor(field, n)
-    if source.startswith("gencantor:"):
-        t = _block_size(source)
+    if kind == "gencantor:":
+        t = _block_size(arg, source)
         m_levels = max(((n - 1) // t).bit_length(), 1)
         theta = subfield_basis_powers(field, 1, t)
         return construct_gen_cantor(field, m_levels, t, theta)[:n]
-    if source.startswith("tower:"):
-        tower = tower_from_string(field, source.split(":", 1)[1])
-        return construct_tower_basis(field, tower, n)
-    if source.startswith("random:"):
-        seed = int(source.split(":", 1)[1])
-        return random_basis(field, n, random.Random(seed))
-    if source.startswith("explicit:"):
-        beta = basis_from_string(source.split(":", 1)[1])
+    if kind == "tower:":
+        return construct_tower_basis(field, tower_from_string(field, arg), n)
+    if kind == "random:":
+        return random_basis(field, n, random.Random(int(arg)))
+    if kind == "explicit:":
+        beta = basis_from_string(arg)
         if len(beta) != n:
             raise ValueError(f"explicit basis has {len(beta)} entries, expected {n}")
         if max(beta) >= field.order:
@@ -169,21 +175,22 @@ def _strategy_degrees(text):
 
 
 def build_tree(strategy, n):
-    if strategy == "trivial":
+    kind, arg = _kind_arg(strategy)
+    if kind == "trivial":
         return build_trivial(n)
-    if strategy == "cantor":
+    if kind == "cantor":
         return build_cantor_tree(n)
-    if strategy.startswith("max:"):
-        return build_max_tree(n, _strategy_degrees(strategy.split(":", 1)[1]))
-    if strategy.startswith("balanced:"):
-        return build_balanced_tree(n, _strategy_degrees(strategy.split(":", 1)[1]))
-    if strategy.startswith("graft:"):
-        t = _block_size(strategy)
+    if kind == "max:":
+        return build_max_tree(n, _strategy_degrees(arg))
+    if kind == "balanced:":
+        return build_balanced_tree(n, _strategy_degrees(arg))
+    if kind == "graft:":
+        t = _block_size(arg, strategy)
         blocks = -(-n // t)
         base = [build_trivial(min(t, n - i * t)) for i in range(blocks)]
         return graft_cantor_tree(t, n, base)
-    if strategy.startswith("explicit:"):
-        tree = ReductionTree.parse(strategy.split(":", 1)[1])
+    if kind == "explicit:":
+        tree = ReductionTree.parse(arg)
         if tree.n != n:
             raise ValueError(f"explicit tree has {tree.n} leaves, expected {n}")
         return tree
@@ -191,47 +198,38 @@ def build_tree(strategy, n):
 
 
 def config_from_args(args):
-    field = resolve_field(args.field)
-    n = args.n
+    """The RunConfig of parsed arguments, each option read with its default."""
+    opts = {**DEFAULTS, **{k: v for k, v in vars(args).items() if v is not None}}
+    field = resolve_field(opts["field"])
+    n = opts["n"]
     if not 1 <= n <= field.degree:
         raise ValueError(f"dimension {n} out of range for GF(2^{field.degree})")
     size = 1 << n
-    ell_text = getattr(args, "ell", None) or f"1:{size}"
+    ell_text = opts.get("ell") or f"1:{size}"
     try:
         lo, _, hi = ell_text.partition(":")
-        ell_lo, ell_hi = int(lo), int(hi) if hi else int(lo)
+        ell = int(lo), int(hi) if hi else int(lo)
     except ValueError:
         raise ValueError(f"bad ell range {ell_text!r}; expected 'lo:hi'")
-    if not 1 <= ell_lo <= ell_hi <= size:
-        raise ValueError(f"ell range {ell_lo}:{ell_hi} out of 1..{size}")
+    if not 1 <= ell[0] <= ell[1] <= size:
+        raise ValueError(f"ell range {ell[0]}:{ell[1]} out of 1..{size}")
     try:
-        lam = int(getattr(args, "lam", "0"), 16)
+        lam = int(opts["lam"], 16)
     except ValueError:
-        raise ValueError(f"bad lambda {args.lam!r}; expected hex")
+        raise ValueError(f"bad lambda {opts['lam']!r}; expected hex")
     if not 0 <= lam < field.order:
         raise ValueError("lambda outside the field")
-    transform = getattr(args, "transform", "n2x")
-    if transform not in BOUND_FAMILIES and not _convert_kinds(transform):
+    transform = opts["transform"]
+    if transform not in RAW_TRANSFORMS and not _convert_kinds(transform):
         raise ValueError(f"unknown transform {transform!r}")
-    c, b = getattr(args, "c", None), getattr(args, "b", None)
+    c, b = opts.get("c"), opts.get("b")
     if c is not None and transform not in ("l2x", "x2l"):
         raise ValueError(f"--c applies to l2x and x2l only, not {transform}")
     if b is not None and transform != "l2x":
         raise ValueError(f"--b applies to l2x only, not {transform}")
-    return RunConfig(
-        field_spec=field.spec_string(),
-        basis=args.basis,
-        tree=getattr(args, "tree", "trivial"),
-        n=n,
-        transform=transform,
-        ell_lo=ell_lo,
-        ell_hi=ell_hi,
-        lam=f"{lam:x}",
-        c=c,
-        b=b,
-        calc=bool(getattr(args, "calc", False)),
-        out=getattr(args, "out", None),
-    )
+    return RunConfig(field=field.spec_string(), basis=opts["basis"], tree=opts["tree"],
+                     n=n, transform=transform, ell=ell, lam=f"{lam:x}", c=c, b=b,
+                     calc=opts["calc"], out=opts.get("out"))
 
 
 def _convert_kinds(transform):
@@ -245,7 +243,7 @@ def _convert_kinds(transform):
 
 def field_basis_tree(cfg):
     """(field, basis, tree) of a config."""
-    field = resolve_field(cfg.field_spec)
+    field = resolve_field(cfg.field)
     return field, build_basis(field, cfg.basis, cfg.n), build_tree(cfg.tree, cfg.n)
 
 
@@ -306,8 +304,6 @@ def cmd_trees(args):
         return 0
     if args.field is None or args.n is None:
         raise ValueError("validating a strategy requires --field and --n")
-    if args.basis is None:
-        args.basis = "cantor"
     cfg = config_from_args(args)
     field, beta, tree = field_basis_tree(cfg)
     ok = validate(field, tree, beta)
@@ -335,18 +331,10 @@ def cmd_verify(args):
                       else random.Random(1).randrange(1, field.order))
     rng = random.Random(2)
     failures = 0
-    checks = (
-        ("n2x", "newton", "lch"),
-        ("x2n", "lch", "newton"),
-        ("l2x", "lagrange", "lch"),
-        ("x2l", "lch", "lagrange"),
-        ("x2m", "lch_twisted", "monomial"),
-        ("m2x", "monomial", "lch_twisted"),
-    )
     for lam in lam_values:
         phi = phi_vector(field, tree, table.head_inv, lam)
         for ell in range(1, size + 1):
-            for name, kind_from, kind_to in checks:
+            for name, (kind_from, kind_to, _) in RAW_TRANSFORMS.items():
                 data = [rng.randrange(field.order) for _ in range(ell)]
                 got, _ = run_transform(name, 0, phi, ell, ell, 0, data, table)
                 want = oracle_convert(field, kind_from, kind_to, beta,
@@ -367,7 +355,7 @@ def cmd_counts(args):
     width = 4 if _convert_kinds(cfg.transform) else 3
     columns = ("ell", "additions", "multiplications", "twist_multiplications")
     lines = [f"# config: {cfg.to_string()}", ",".join(columns[:width])]
-    for ell in range(cfg.ell_lo, cfg.ell_hi + 1):
+    for ell in range(cfg.ell[0], cfg.ell[1] + 1):
         lines.append(",".join(map(str, (ell, *measure(ell))[:width])))
     emit(lines, cfg.out)
     return 0
@@ -378,11 +366,11 @@ def cmd_bounds(args):
     if _convert_kinds(cfg.transform):
         raise ValueError("bounds supports the raw transforms only")
     measure = measurer(cfg)
-    family = BOUND_FAMILIES[cfg.transform]
+    family = RAW_TRANSFORMS[cfg.transform][2]
     add_id = args.bound_add or f"{family}_add"
     mul_id = args.bound_mul or f"{family}_mul"
     worst = None
-    for ell in range(cfg.ell_lo, cfg.ell_hi + 1):
+    for ell in range(cfg.ell[0], cfg.ell[1] + 1):
         adds, muls, _ = measure(ell)
         c, b = _mixed_params(cfg, ell)
         for column, count, formula_id in (("additions", adds, add_id),
@@ -413,53 +401,45 @@ def build_parser():
     def common(sp, tree=True):
         sp.add_argument("--field", required=True,
                         help="field degree m, or spec m:0x<modulus-hex>")
-        sp.add_argument("--basis", default="cantor",
+        sp.add_argument("--basis",
                         help="cantor | gencantor:<t> | tower:<spec> | "
                              "random:<seed> | explicit:<hex,...>")
         sp.add_argument("--n", type=int, required=True, help="basis dimension")
         if tree:
-            sp.add_argument("--tree", default="trivial",
-                            help="trivial | cantor | max:<tower> | "
-                                 "balanced:<tower> | graft:<t> | "
-                                 "explicit:<serialized>")
-        sp.add_argument("--out", default=None, help="output path (default stdout)")
+            sp.add_argument("--tree", help=" | ".join(STRATEGY_FORMS))
+        sp.add_argument("--out", help="output path (default stdout)")
 
     sp = sub.add_parser("construct", help="print the configured basis")
     common(sp, tree=False)
     sp.set_defaults(func=cmd_construct)
 
     sp = sub.add_parser("trees", help="list strategies, or validate one")
-    sp.add_argument("--strategy", dest="tree", metavar="STRATEGY", default=None)
-    sp.add_argument("--field", default=None)
-    sp.add_argument("--basis", default=None)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--out", default=None)
+    sp.add_argument("--strategy", dest="tree", metavar="STRATEGY")
+    sp.add_argument("--field")
+    sp.add_argument("--basis")
+    sp.add_argument("--n", type=int)
+    sp.add_argument("--out")
     sp.set_defaults(func=cmd_trees)
 
     sp = sub.add_parser("verify", help="dense-oracle equivalence, n <= 6")
     common(sp)
-    sp.add_argument("--lam", default="0", help="shift, lowercase hex")
+    sp.add_argument("--lam", help="shift, lowercase hex")
     sp.set_defaults(func=cmd_verify)
 
     for name, func in (("counts", cmd_counts), ("bounds", cmd_bounds)):
         sp = sub.add_parser(name, help=f"operation-count {name} over an ell range")
         common(sp)
-        sp.add_argument("--transform", default="n2x",
-                        help="n2x | x2n | l2x | x2l | x2m | m2x | "
-                             "convert:<from>-<to>")
-        sp.add_argument("--ell", default=None, help="range lo:hi (default full)")
-        sp.add_argument("--lam", default="0", help="shift, lowercase hex")
-        sp.add_argument("--c", type=int, default=None,
-                        help="fixed value count for l2x/x2l")
-        sp.add_argument("--b", type=int, default=None,
-                        help="extra-evaluation flag for l2x")
+        sp.add_argument("--transform",
+                        help=" | ".join([*RAW_TRANSFORMS, "convert:<from>-<to>"]))
+        sp.add_argument("--ell", help="range lo:hi (default full)")
+        sp.add_argument("--lam", help="shift, lowercase hex")
+        sp.add_argument("--c", type=int, help="fixed value count for l2x/x2l")
+        sp.add_argument("--b", type=int, help="extra-evaluation flag for l2x")
         sp.add_argument("--calc", action="store_true",
                         help="replay counts from the model instead of executing")
         if name == "bounds":
-            sp.add_argument("--bound-add", default=None, dest="bound_add",
-                            help="override the additions bound id")
-            sp.add_argument("--bound-mul", default=None, dest="bound_mul",
-                            help="override the multiplications bound id")
+            sp.add_argument("--bound-add", help="override the additions bound id")
+            sp.add_argument("--bound-mul", help="override the multiplications bound id")
         sp.set_defaults(func=func)
 
     return parser

@@ -286,6 +286,8 @@ class Field:
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse of a nonzero field element."""
+        if type(a) is not int:  # a plain int skips the operator.index read
+            (a,) = _integers("element", a)
         if a == 0:
             raise ZeroDivisionError("zero has no inverse")
         if not 0 < a < self.order:
@@ -296,6 +298,8 @@ class Field:
 
     def pow(self, a: int, e: int) -> int:
         """a^e by square-and-multiply; e >= 0."""
+        if type(a) is not int or type(e) is not int:
+            a, e = _integers("element and exponent", a, e)
         if e < 0:
             raise ValueError("negative exponent")
         if not 0 <= a < self.order:
@@ -321,7 +325,7 @@ class Field:
 
         Tr(a) = sum of a^(2^(sub_deg * j)) for j < sup_deg/sub_deg.
         """
-        if sup_deg % sub_deg != 0 or self.degree % sup_deg != 0:
+        if sub_deg <= 0 or sup_deg <= 0 or sup_deg % sub_deg or self.degree % sup_deg:
             raise ValueError(
                 f"need {sub_deg} | {sup_deg} | {self.degree} for a relative trace"
             )

@@ -218,8 +218,9 @@ def test_quadratic_trace_basis():
         assert f.in_subfield(theta, 2 * s)
         assert not f.in_subfield(theta, s)
         assert f.trace_rel(theta, s, 2 * s) == 1
-    with pytest.raises(ValueError):
-        make_quadratic_trace_basis(get_field(12), 4)
+    for s in (4, 0, -1):  # s = 0 once raised ZeroDivisionError
+        with pytest.raises(ValueError):
+            make_quadratic_trace_basis(get_field(12), s)
 
 
 def test_subfield_basis_powers():
@@ -232,6 +233,10 @@ def test_subfield_basis_powers():
         subfield_basis_powers(f, 2, 5)
     with pytest.raises(ValueError):
         subfield_basis_powers(f, 1, 5)
+    # A zero degree once raised ZeroDivisionError.
+    for d_sub, d_sup in ((0, 4), (1, 0), (0, 0)):
+        with pytest.raises(ValueError):
+            subfield_basis_powers(get_field(16), d_sub, d_sup)
 
 
 def test_random_basis_is_independent_and_deterministic():

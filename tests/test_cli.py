@@ -1,6 +1,8 @@
 """CLI behavior through main(argv): output shape, exit codes, determinism."""
 
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_readme_examples(capsys):
+    # Each `$ binbasis ...` example in README's Command line section prints
+    # the block shown under it, where a `...` line stands for skipped lines.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Command line\n")[1]
+    section = section.split("\n## ")[0]
+    examples = re.findall(r"^```\n(\$ binbasis .*?)^```", section, re.S | re.M)
+    assert examples
+    for command, *shown in map(str.splitlines, examples):
+        code, out, err = run(capsys, *shlex.split(command)[2:])
+        assert (code, err) == (0, ""), command
+        pattern = "".join("(?:.*\n)*" if line == "..." else re.escape(line) + "\n"
+                          for line in shown)
+        assert re.fullmatch(pattern, out), command
 
 
 def test_construct_cantor(capsys):
@@ -286,9 +304,12 @@ def test_runconfig_roundtrip():
     assert defaults.c is None and defaults.b is None and not defaults.calc
 
     # Headers that would not print back the same: an unknown token, a
-    # repeated key and a calc flag other than 0 or 1.
+    # repeated key, a calc flag other than 0 or 1, a number with a leading
+    # zero or sign, and keys out of order.
     for bad in (text + " bogus=1", text.replace("n=4", "n=3") + " n=5",
-                text.replace("calc=1", "calc=7")):
+                text.replace("calc=1", "calc=7"), text.replace("n=4", "n=04"),
+                text.replace("c=2", "c=+2"),
+                "basis=cantor " + text.replace(" basis=cantor", "")):
         with pytest.raises(ValueError):
             RunConfig.from_string(bad)
 
@@ -299,7 +320,9 @@ def test_error_paths_single_line(capsys):
         ("counts", "--field", "16", "--n", "3", "--lam", "zz"),
         ("counts", "--field", "16", "--n", "3", "--ell", "0:4"),
         ("counts", "--field", "16", "--n", "3", "--ell", "5:4"),
+        ("counts", "--field", "16", "--n", "3", "--ell", "abc"),
         ("counts", "--field", "16", "--n", "3", "--transform", "warp"),
+        ("counts", "--field", "16", "--n", "3", "--transform", "convert:newton-foo"),
         ("counts", "--field", "16", "--n", "99"),
         ("counts", "--field", "16", "--n", "3", "--tree", "mystery:9"),
         ("verify", "--field", "16", "--n", "3", "--lam", "10000"),

@@ -197,6 +197,9 @@ def test_pow2k_is_iterated_squaring_and_linear():
         assert f.pow2k(1, d) == 1
         assert f.pow2k(a ^ b, d) == f.pow2k(a, d) ^ f.pow2k(b, d)
         assert f.pow2k(a, d) == f.pow(a, 1 << d)
+    for call in (lambda: f.pow(3, -1), lambda: f.pow2k(3, -1)):
+        with pytest.raises(ValueError, match="negative"):
+            call()
 
 
 def test_subfield_membership_counts():
@@ -297,6 +300,10 @@ def test_trace_domain_errors():
     with pytest.raises(ValueError):
         # primitive element generates the whole field, not GF(2^4)
         g.trace_rel(g.primitive_element(), 2, 4)
+    # A zero degree once raised ZeroDivisionError.
+    for sub_deg, sup_deg in ((0, 4), (1, 0), (0, 0)):
+        with pytest.raises(ValueError):
+            get_field(16).trace_rel(1, sub_deg, sup_deg)
 
 
 def test_element_hex_round_trip():
@@ -325,11 +332,14 @@ def test_bad_degree_and_modulus():
 def test_non_integer_degree_and_modulus():
     # A float or string degree raised TypeError, a float modulus
     # AttributeError, and Field(True) printed the spec 'True:0x2', which
-    # does not parse back.
-    get_field(16)  # a cached canonical modulus must not serve 16.0
+    # does not parse back.  A float exponent or operand of pow and inv
+    # raised TypeError on GF(2^16)'s tables.
+    gf16, gf32 = get_field(16), get_field(32)  # a cached canonical modulus must not serve 16.0
     for call in (lambda: Field(16.0), lambda: get_field(16.0), lambda: Field("16"),
                  lambda: canonical_modulus(16.0), lambda: Field(16, 65579.0),
-                 lambda: get_field(16, 65579.0), lambda: Field(16, "65579")):
+                 lambda: get_field(16, 65579.0), lambda: Field(16, "65579"),
+                 lambda: gf16.pow(3, 1.5), lambda: gf16.pow(3.0, 2), lambda: gf16.inv(3.0),
+                 lambda: gf32.pow(3, 1.5), lambda: gf32.inv(3.0)):
         with pytest.raises(ValueError, match="expected integer"):
             call()
     f = Field(True)

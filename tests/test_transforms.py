@@ -718,6 +718,8 @@ def test_transform_argument_errors():
         taylor_inverse(2, 3, CoeffBuffer([0] * 4).view())
     with pytest.raises(ValueError):
         x2m(0, 3, CoeffBuffer([0] * 4).view(), table)
+    with pytest.raises(ValueError, match="expected 4 entries, got 3"):
+        run_transform("n2x", 0, phi, 4, 4, 0, [0] * 3, table)
     with pytest.raises(ValueError):
         convert(GF8, "lch", "fourier", table.beta, table.tree, 0, 4,
                 [0] * 4, table)
