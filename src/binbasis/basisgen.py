@@ -11,7 +11,7 @@ towers, and trace-one quadratic pairs.
 
 from dataclasses import dataclass
 
-from binbasis.field import element_from_hex, element_to_hex
+from binbasis.field import _integers, element_from_hex
 
 
 def enumerate_point(beta, i):
@@ -80,9 +80,11 @@ def construct_gen_cantor(field, m_levels, t, theta):
     the entry t positions later under b -> b^(2^t) - b.  The result satisfies
     b_i = theta[i] for i < t and b_0, ..., b_{2^k t - 1} in GF(2^(2^k t)).
     """
+    (m_levels,) = _integers("doubling levels", m_levels)
     if m_levels < 1:
         raise ValueError("at least one doubling level is required")
-    if t < 1 or len(theta) != t:
+    t = field.subfield_degree(t)
+    if len(theta) != t:
         raise ValueError(f"expected {t} coefficient-field basis entries")
     size = (1 << m_levels) * t
     if field.degree % size:
@@ -111,6 +113,7 @@ def construct_gen_cantor(field, m_levels, t, theta):
 
 def construct_cantor(field, n):
     """First n entries of the classic chain b_0 = 1, b_i = b_{i+1}^2 - b_{i+1}."""
+    (n,) = _integers("dimension", n)
     if n < 1:
         raise ValueError("dimension must be positive")
     if n == 1:
@@ -183,14 +186,6 @@ def tower_from_string(field, text):
     return make_tower(field, degrees, trace_one)
 
 
-def tower_to_string(tower, trace_one_levels=()):
-    parts = []
-    for pos, deg in enumerate(tower.degrees):
-        bang = "!" if (pos - 1) in trace_one_levels else ""
-        parts.append(f"{deg}{bang}")
-    return "-".join(parts)
-
-
 def construct_tower_basis(field, tower, n):
     """Product basis: entry i multiplies one element per level, picked by the
     mixed-radix digits of i with place values the tower degrees."""
@@ -213,9 +208,8 @@ def make_quadratic_trace_basis(field, s):
     Trace 1 forces theta outside GF(2^s) (subfield elements trace to 0 under
     a quadratic extension), so the pair is a basis of GF(2^2s)/GF(2^s).
     """
-    e = 2 * s
-    if s <= 0 or field.degree % e:
-        raise ValueError(f"GF(2^{e}) is not a subfield of GF(2^{field.degree})")
+    s = field.subfield_degree(s)
+    e = field.subfield_degree(2 * s)
     return (1, _trace_one(field, s, e))
 
 
@@ -237,10 +231,9 @@ def subfield_basis_powers(field, d_sub, d_sup):
     xi generates the multiplicative group of GF(2^d_sup), hence has degree
     exactly d_sup/d_sub over the smaller field.
     """
-    if d_sub <= 0 or d_sup % d_sub:
+    d_sub, d_sup = field.subfield_degree(d_sub), field.subfield_degree(d_sup)
+    if d_sup % d_sub:
         raise ValueError(f"{d_sub} does not divide {d_sup}")
-    if d_sup <= 0 or field.degree % d_sup:
-        raise ValueError(f"GF(2^{d_sup}) is not a subfield of GF(2^{field.degree})")
     count = d_sup // d_sub
     xi = field.subfield_generator(d_sup)
     out = [1]
@@ -251,16 +244,13 @@ def subfield_basis_powers(field, d_sub, d_sup):
 
 def random_basis(field, n, rng):
     """Seeded rejection sampling: redraw the whole tuple until independent."""
+    (n,) = _integers("dimension", n)
     if not 1 <= n <= field.degree:
         raise ValueError(f"dimension {n} out of range for GF(2^{field.degree})")
     while True:
         beta = tuple(rng.randrange(field.order) for _ in range(n))
         if is_independent(beta):
             return beta
-
-
-def basis_to_string(beta):
-    return ",".join(element_to_hex(b) for b in beta)
 
 
 def basis_from_string(text):

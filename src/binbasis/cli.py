@@ -269,7 +269,7 @@ def measurer(cfg):
     lam = int(cfg.lam, 16)
     kinds = _convert_kinds(cfg.transform)
     model = CountModel(table) if cfg.calc else None
-    phi = None if cfg.calc else phi_vector(field, tree, table.head_inv, lam)
+    phi = None if cfg.calc else phi_vector(table, lam)
     rng = random.Random(0)
 
     def measure(ell):
@@ -332,7 +332,7 @@ def cmd_verify(args):
     rng = random.Random(2)
     failures = 0
     for lam in lam_values:
-        phi = phi_vector(field, tree, table.head_inv, lam)
+        phi = phi_vector(table, lam)
         for ell in range(1, size + 1):
             for name, (kind_from, kind_to, _) in RAW_TRANSFORMS.items():
                 data = [rng.randrange(field.order) for _ in range(ell)]

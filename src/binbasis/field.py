@@ -228,11 +228,6 @@ class Field:
         except ValueError:
             raise ValueError(f"bad field spec {text!r}; expected '<m>:0x<hex>'")
 
-    @classmethod
-    def from_spec(cls, text: str) -> "Field":
-        """Parse a field spec string of the form `<m>:0x<modulus-hex>`."""
-        return cls(*cls.parse_spec(text))
-
     def spec_string(self) -> str:
         return f"{self.degree}:0x{self.modulus:x}"
 
@@ -261,11 +256,6 @@ class Field:
         return ints
 
     # -- raw arithmetic ------------------------------------------------------
-
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        """Field addition: XOR of representatives. Self-inverse."""
-        return a ^ b
 
     def mul(self, a: int, b: int) -> int:
         """Product by exp/log lookup; ValueError for an operand outside the field.
@@ -312,6 +302,8 @@ class Field:
 
     def pow2k(self, a: int, d: int) -> int:
         """Frobenius power a^(2^d) by d squarings; GF(2)-linear in a."""
+        if type(d) is not int:  # a plain int skips the operator.index read
+            (d,) = _integers("Frobenius exponent", d)
         if d < 0:
             raise ValueError("negative Frobenius exponent")
         for _ in range(d):
@@ -320,15 +312,22 @@ class Field:
 
     # -- subfield structure --------------------------------------------------
 
+    def subfield_degree(self, d: int) -> int:
+        """d read by operator.index; ValueError unless GF(2^d) is a subfield,
+        that is unless d is an integer of at least 1 dividing the degree."""
+        (d,) = _integers("subfield degree", d)
+        if d < 1 or self.degree % d:
+            raise ValueError(f"GF(2^{d}) is not a subfield of GF(2^{self.degree})")
+        return d
+
     def trace_rel(self, a: int, sub_deg: int, sup_deg: int) -> int:
         """Relative trace from GF(2^sup_deg) down to GF(2^sub_deg).
 
         Tr(a) = sum of a^(2^(sub_deg * j)) for j < sup_deg/sub_deg.
         """
-        if sub_deg <= 0 or sup_deg <= 0 or sup_deg % sub_deg or self.degree % sup_deg:
-            raise ValueError(
-                f"need {sub_deg} | {sup_deg} | {self.degree} for a relative trace"
-            )
+        sub_deg, sup_deg = self.subfield_degree(sub_deg), self.subfield_degree(sup_deg)
+        if sup_deg % sub_deg:
+            raise ValueError(f"need {sub_deg} | {sup_deg} for a relative trace")
         if not self.in_subfield(a, sup_deg):
             raise ValueError(f"element {a:#x} is not in GF(2^{sup_deg})")
         acc = a
@@ -340,9 +339,7 @@ class Field:
 
     def in_subfield(self, a: int, d: int) -> bool:
         """Whether a lies in the subfield GF(2^d); requires d | m."""
-        if d <= 0 or self.degree % d != 0:
-            raise ValueError(f"{d} does not divide the field degree {self.degree}")
-        return self.pow2k(a, d) == a
+        return self.pow2k(a, self.subfield_degree(d)) == a
 
     def primitive_element(self) -> int:
         """The element of smallest bit pattern with order 2^m - 1."""
@@ -372,8 +369,7 @@ class Field:
 
     def subfield_generator(self, d: int) -> int:
         """Generator of GF(2^d)*: the primitive element to the cofactor power."""
-        if d <= 0 or self.degree % d != 0:
-            raise ValueError(f"{d} does not divide the field degree {self.degree}")
+        d = self.subfield_degree(d)
         cofactor = (self.order - 1) // ((1 << d) - 1)
         return self.pow(self.primitive_element(), cofactor)
 

@@ -390,7 +390,7 @@ def _lin_columns(table, v):
     starts, and its column i is 0.  Both layouts build their lam-free
     shifts from these columns.
     """
-    cols = transport(table.field, table.tree, table.head_inv, v, table.bases[v])
+    cols = transport(table, v, table.bases[v])
     for i, row in enumerate(cols):
         row[i] = 0
     return cols
@@ -725,14 +725,13 @@ def convert(field, kind_from, kind_to, beta, tree, lam, ell, coeffs, table):
     """
     if (field, tuple(beta), tree) != (table.field, table.beta, table.tree):
         raise ValueError("field, basis or tree does not match the table")
-    field, tree = table.field, table.tree
     legs, twist = _convert_plan(table, kind_from, kind_to, ell)
     ell = index(ell)
     coeffs = list(coeffs)
     if len(coeffs) != ell:
         raise ValueError(f"expected {ell} coefficients, got {len(coeffs)}")
     counter = OpCounter()
-    phi_vec = phi_vector(field, tree, table.head_inv, lam)
+    phi_vec = phi_vector(table, lam)
     return _run(table, 0, legs, ell, phi_vec, coeffs, counter, twist), counter
 
 

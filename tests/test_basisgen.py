@@ -5,7 +5,6 @@ import pytest
 from binbasis.basisgen import (
     alpha_of,
     basis_from_string,
-    basis_to_string,
     construct_cantor,
     construct_gen_cantor,
     construct_tower_basis,
@@ -17,7 +16,6 @@ from binbasis.basisgen import (
     random_basis,
     subfield_basis_powers,
     tower_from_string,
-    tower_to_string,
 )
 from binbasis.field import get_field
 
@@ -91,8 +89,9 @@ def test_cantor_basis_dim_one_and_errors():
     assert construct_cantor(f, 1) == (1,)
     with pytest.raises(ValueError):
         construct_cantor(get_field(12), 8)  # needs 8 | 12
-    with pytest.raises(ValueError):
-        construct_cantor(f, 0)
+    for n in (0, 2.0):  # 2.0 once raised AttributeError
+        with pytest.raises(ValueError):
+            construct_cantor(f, n)
 
 
 def test_cantor_delta_is_plain_prefix():
@@ -162,6 +161,8 @@ def test_gen_cantor_rejects_bad_inputs():
         construct_gen_cantor(f, 1, 2, (1, 1))  # dependent theta
     with pytest.raises(ValueError):
         construct_gen_cantor(f, 0, 1, (1,))
+    with pytest.raises(ValueError, match="expected integer"):  # once TypeError
+        construct_gen_cantor(f, 2, 2.0, subfield_basis_powers(f, 1, 2))
 
 
 def test_tower_basis_mixed_radix_products():
@@ -199,7 +200,8 @@ def test_tower_string_round_trip():
     tower = tower_from_string(f, "1-2!-4-12")
     assert tower.degrees == (1, 2, 4, 12)
     assert tower.level_bases[0] == make_quadratic_trace_basis(f, 1)
-    assert tower_to_string(tower, trace_one_levels=(0,)) == "1-2!-4-12"
+    assert tower.level_bases[1] == subfield_basis_powers(f, 2, 4)
+    assert tower.level_bases[2] == subfield_basis_powers(f, 4, 12)
     with pytest.raises(ValueError):
         tower_from_string(f, "1!-2-12")
     with pytest.raises(ValueError):
@@ -218,7 +220,7 @@ def test_quadratic_trace_basis():
         assert f.in_subfield(theta, 2 * s)
         assert not f.in_subfield(theta, s)
         assert f.trace_rel(theta, s, 2 * s) == 1
-    for s in (4, 0, -1):  # s = 0 once raised ZeroDivisionError
+    for s in (4, 0, -1, 2.0):  # 0 once raised ZeroDivisionError, 2.0 TypeError
         with pytest.raises(ValueError):
             make_quadratic_trace_basis(get_field(12), s)
 
@@ -233,8 +235,8 @@ def test_subfield_basis_powers():
         subfield_basis_powers(f, 2, 5)
     with pytest.raises(ValueError):
         subfield_basis_powers(f, 1, 5)
-    # A zero degree once raised ZeroDivisionError.
-    for d_sub, d_sup in ((0, 4), (1, 0), (0, 0)):
+    # A zero degree once raised ZeroDivisionError, and 4.0 TypeError.
+    for d_sub, d_sup in ((0, 4), (1, 0), (0, 0), (1, 4.0)):
         with pytest.raises(ValueError):
             subfield_basis_powers(get_field(16), d_sub, d_sup)
 
@@ -246,11 +248,11 @@ def test_random_basis_is_independent_and_deterministic():
     assert a == b
     assert is_independent(a)
     assert all(x for x in a)
+    with pytest.raises(ValueError, match="expected integer"):  # once TypeError
+        random_basis(f, 2.0, random.Random(99))
 
 
 def test_basis_serialization_round_trip():
     beta = (1, 0x1A, 0xFF)
-    text = basis_to_string(beta)
-    assert text == "1,1a,ff"
-    assert basis_from_string(text) == beta
+    assert basis_from_string("1,1a,ff") == beta
     assert basis_from_string(" 1, 1a ,ff ") == beta

@@ -110,12 +110,12 @@ def ruler_shifts(table, v, phi_vec):
     the alpha part of the shift vector advanced after each row j < i by
     phi_u(leaf r of the alpha child, beta_{u,d} + ... + beta_{u,d+k}) in
     component r, for k = ruler_delta(j); columns keep the delta part."""
-    tree, field, bases = table.tree, table.field, table.bases
+    tree, bases = table.tree, table.bases
     steps = {}
     for u in tree.internal_vertices():
         a = tree.alpha[u]
         sums = list(accumulate(bases[u][tree.size[a]:], xor))
-        steps[u] = transport(field, tree, table.head_inv, u, sums)[:tree.size[a]]
+        steps[u] = transport(table, u, sums)[:tree.size[a]]
     out = {}
 
     def visit(u, pos, stride, vec):
@@ -362,7 +362,7 @@ def test_convert_legs_need_no_truncation(config):
     layout = bitslice._Planes if n >= _PLANES_MIN_DIM else _Scalar
     rng = random.Random(str(config))
     lam = rng.randrange(2, field.order)
-    phi_vec = phi_vector(field, tree, table.head_inv, lam)
+    phi_vec = phi_vector(table, lam)
     for ell in ((size >> 1) + 3, size - 5):
         data = [rng.randrange(field.order) for _ in range(ell)]
         junk = [rng.randrange(1, field.order) for _ in range(size - ell)]

@@ -11,6 +11,8 @@ import pytest
 
 import binbasis
 from binbasis.cli import RunConfig, main, resolve_field
+from binbasis.oracle import oracle_convert
+from binbasis.transforms import CountModel
 
 
 def run(capsys, *argv):
@@ -19,12 +21,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def readme_section(title):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return readme.read_text(encoding="utf-8").split(f"\n## {title}\n")[1].split("\n## ")[0]
+
+
 def test_readme_examples(capsys):
     # Each `$ binbasis ...` example in README's Command line section prints
     # the block shown under it, where a `...` line stands for skipped lines.
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    section = readme.read_text(encoding="utf-8").split("\n## Command line\n")[1]
-    section = section.split("\n## ")[0]
+    section = readme_section("Command line")
     examples = re.findall(r"^```\n(\$ binbasis .*?)^```", section, re.S | re.M)
     assert examples
     for command, *shown in map(str.splitlines, examples):
@@ -33,6 +38,20 @@ def test_readme_examples(capsys):
         pattern = "".join("(?:.*\n)*" if line == "..." else re.escape(line) + "\n"
                           for line in shown)
         assert re.fullmatch(pattern, out), command
+
+
+def test_readme_library_use(capsys):
+    # README's Library use block runs, converts as the oracle does and
+    # prints the counts that CountModel replays for it.
+    (block,) = re.findall(r"^```python\n(.*?)^```", readme_section("Library use"),
+                          re.S | re.M)
+    scope = {}
+    exec(block, scope)
+    adds, muls, twists = CountModel(scope["table"]).convert("newton", "lch", 8)
+    assert capsys.readouterr().out == f"{scope['out']} {adds} {muls}\n"
+    assert twists == 0
+    assert scope["out"] == oracle_convert(scope["f"], "newton", "lch", scope["beta"], 0, 8,
+                                          scope["coeffs"])
 
 
 def test_construct_cantor(capsys):

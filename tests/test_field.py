@@ -61,18 +61,11 @@ def test_irreducibility_rejects_products():
 def test_spec_string_round_trip():
     f = Field(8, 0x11B)
     assert f.spec_string() == "8:0x11b"
-    assert Field.from_spec("8:0x11B") == f
-    assert Field.from_spec(f.spec_string()) == f
-    with pytest.raises(ValueError):
-        Field.from_spec("8-0x11b")
-    with pytest.raises(ValueError):
-        Field.from_spec("8:11b")
-
-
-def test_add_is_xor():
-    assert Field.add(0x3, 0x5) == 0x6
-    assert Field.add(0x7, 0) == 0x7
-    assert Field.add(0x55, 0x55) == 0
+    assert Field.parse_spec("8:0x11B") == (8, 0x11B)
+    assert get_field(*Field.parse_spec(f.spec_string())) == f
+    for text in ("8-0x11b", "8:11b"):
+        with pytest.raises(ValueError, match="bad field spec"):
+            Field.parse_spec(text)
 
 
 def test_gf4_known_values():
@@ -333,18 +326,21 @@ def test_non_integer_degree_and_modulus():
     # A float or string degree raised TypeError, a float modulus
     # AttributeError, and Field(True) printed the spec 'True:0x2', which
     # does not parse back.  A float exponent or operand of pow and inv
-    # raised TypeError on GF(2^16)'s tables.
+    # raised TypeError on GF(2^16)'s tables, and so did a float subfield
+    # degree or Frobenius exponent.
     gf16, gf32 = get_field(16), get_field(32)  # a cached canonical modulus must not serve 16.0
     for call in (lambda: Field(16.0), lambda: get_field(16.0), lambda: Field("16"),
                  lambda: canonical_modulus(16.0), lambda: Field(16, 65579.0),
                  lambda: get_field(16, 65579.0), lambda: Field(16, "65579"),
                  lambda: gf16.pow(3, 1.5), lambda: gf16.pow(3.0, 2), lambda: gf16.inv(3.0),
-                 lambda: gf32.pow(3, 1.5), lambda: gf32.inv(3.0)):
+                 lambda: gf32.pow(3, 1.5), lambda: gf32.inv(3.0),
+                 lambda: gf16.in_subfield(3, 2.0), lambda: gf16.pow2k(3, 1.5),
+                 lambda: gf16.subfield_generator(4.0), lambda: gf16.trace_rel(3, 1, 2.0)):
         with pytest.raises(ValueError, match="expected integer"):
             call()
     f = Field(True)
     assert f.spec_string() == Field(1).spec_string() == "1:0x2"  # x is irreducible
-    assert Field.from_spec(f.spec_string()) == f == get_field(True)
+    assert Field(*Field.parse_spec(f.spec_string())) == f == get_field(True)
     assert Field(16, True << 16 | 0x2B) == get_field(16)
 
 

@@ -17,7 +17,6 @@ from binbasis.cli import build_basis, build_tree
 from binbasis.field import get_field
 from binbasis.precomp import (
     build_tables,
-    compute_vertex_bases,
     initial_phi_vector,
     phi_vector,
     transport,
@@ -48,14 +47,14 @@ def phi_recursive(field, tree, bases, v, u, lam):
 def test_vertex_bases_single_leaf():
     f = get_field(8)
     tree = build_trivial(1)
-    assert compute_vertex_bases(f, tree, (0x53,)) == ((0x53,),)
+    assert build_tables(f, tree, (0x53,)).bases == ((0x53,),)
 
 
 def test_vertex_bases_cantor_prefix():
     f = get_field(8)
     beta = construct_cantor(f, 6)
     for tree in (build_cantor_tree(6), build_trivial(6)):
-        bases = compute_vertex_bases(f, tree, beta)
+        bases = build_tables(f, tree, beta).bases
         for v in tree.vertices():
             assert bases[v] == beta[:tree.size[v]]
 
@@ -64,7 +63,7 @@ def test_vertex_bases_delta_chain():
     f = get_field(13)
     beta = random_basis(f, 3, random.Random(50))
     tree = build_trivial(3)
-    bases = compute_vertex_bases(f, tree, beta)
+    bases = build_tables(f, tree, beta).bases
     step1 = delta_of(f, beta, 1)
     step2 = delta_of(f, step1, 1)
     assert bases[tree.delta[0]] == step1
@@ -77,8 +76,8 @@ def test_vertex_bases_rejects_invalid_pair():
     beta = tuple(pow_chain(f, g, 4))
     tree = build_cantor_tree(4)
     assert not validate(f, tree, beta)
-    with pytest.raises(ValueError):
-        compute_vertex_bases(f, tree, beta)
+    with pytest.raises(ValueError, match="splitting conditions"):
+        build_tables(f, tree, beta)
 
 
 def test_vertex_bases_report_basis_length():
@@ -88,7 +87,7 @@ def test_vertex_bases_report_basis_length():
     with pytest.raises(ValueError, match="basis has 3 entries, expected 4"):
         build_tables(f, build_cantor_tree(4), construct_cantor(f, 3))
     with pytest.raises(ValueError, match="basis has 5 entries, expected 4"):
-        compute_vertex_bases(f, build_trivial(4), construct_cantor(f, 5))
+        build_tables(f, build_trivial(4), construct_cantor(f, 5))
 
 
 def test_bad_basis_entries_raise_value_error():
@@ -136,21 +135,20 @@ def pow_chain(field, g, n):
         x = field.mul(x, g)
 
 
-def heads_inv(field, bases):
-    return [field.inv(b[0]) for b in bases]
-
-
 def test_phi_leaf_and_zero():
     f = get_field(12)
     rng = random.Random(51)
     beta = random_basis(f, 4, rng)
     tree = build_trivial(4)
-    bases = compute_vertex_bases(f, tree, beta)
-    hinv = heads_inv(f, bases)
-    assert transport(f, tree, hinv, 0, [0]) == [[0]] * 4
+    table = build_tables(f, tree, beta)
+    assert transport(table, 0, [0]) == [[0]] * 4
     leaf = tree.alpha[0]
     lam = rng.randrange(f.order)
-    assert transport(f, tree, hinv, leaf, [lam]) == [[f.mul(lam, f.inv(bases[leaf][0]))]]
+    assert transport(table, leaf, [lam]) == [[f.mul(lam, f.inv(table.bases[leaf][0]))]]
+    # A vertex outside the tree raised IndexError.
+    for v in (-1, 7, 99, 1.0, None):
+        with pytest.raises(ValueError, match="not a vertex"):
+            transport(table, v, [1])
 
 
 def test_phi_is_linear():
@@ -158,12 +156,11 @@ def test_phi_is_linear():
     rng = random.Random(52)
     beta = random_basis(f, 5, rng)
     tree = build_trivial(5)
-    bases = compute_vertex_bases(f, tree, beta)
-    hinv = heads_inv(f, bases)
+    table = build_tables(f, tree, beta)
     for _ in range(10):
         l1 = rng.randrange(f.order)
         l2 = rng.randrange(f.order)
-        rows = transport(f, tree, hinv, 0, [l1, l2, l1 ^ l2])
+        rows = transport(table, 0, [l1, l2, l1 ^ l2])
         assert len(rows) == 5
         for x1, x2, x12 in rows:
             assert x12 == x1 ^ x2
@@ -173,39 +170,36 @@ def test_phi_delegation_cases():
     f = get_field(8)
     beta = construct_cantor(f, 6)
     tree = build_cantor_tree(6)
-    bases = compute_vertex_bases(f, tree, beta)
-    hinv = heads_inv(f, bases)
+    table = build_tables(f, tree, beta)
     rng = random.Random(53)
     v = 0
     a, d = tree.alpha[v], tree.delta[v]
     dv = tree.d_of(v)
     for _ in range(5):
         lam = rng.randrange(f.order)
-        q = f.mul(lam, f.inv(bases[v][0]))
+        q = f.mul(lam, f.inv(table.bases[v][0]))
         mapped = f.pow2k(q, dv) ^ q
-        assert transport(f, tree, hinv, v, [lam]) == \
-            transport(f, tree, hinv, a, [lam]) + transport(f, tree, hinv, d, [mapped])
+        assert transport(table, v, [lam]) == \
+            transport(table, a, [lam]) + transport(table, d, [mapped])
 
 
 def test_phi_transport_one_row_per_leaf():
     f = get_field(8)
     beta = construct_cantor(f, 3)
     tree = build_trivial(3)
-    bases = compute_vertex_bases(f, tree, beta)
-    hinv = heads_inv(f, bases)
+    table = build_tables(f, tree, beta)
     for v in tree.vertices():
-        assert len(transport(f, tree, hinv, v, [1, 2])) == tree.size[v]
+        assert len(transport(table, v, [1, 2])) == tree.size[v]
 
 
 def test_phi_cantor_delta_kills_low_directions():
     f = get_field(8)
     beta = construct_cantor(f, 8)
     tree = build_cantor_tree(8)
-    bases = compute_vertex_bases(f, tree, beta)
-    hinv = heads_inv(f, bases)
+    table = build_tables(f, tree, beta)
     for v in tree.internal_vertices():
         dv = tree.d_of(v)
-        rows = transport(f, tree, hinv, v, bases[v][:dv])
+        rows = transport(table, v, table.bases[v][:dv])
         # The delta child's leaves come after the alpha child's dv leaves.
         assert rows[dv:] and all(x == 0 for row in rows[dv:] for x in row)
 
@@ -306,7 +300,8 @@ def test_initial_phi_vector():
     rng = random.Random(56)
     beta = random_basis(f, 5, rng)
     tree = build_trivial(5)
-    bases = compute_vertex_bases(f, tree, beta)
+    table = build_tables(f, tree, beta)
+    bases = table.bases
     assert initial_phi_vector(f, tree, bases, 0) == [0] * 5
     one = ReductionTree.parse("*")
     assert initial_phi_vector(f, one, ((beta[0],),), 7) == [f.mul(7, f.inv(beta[0]))]
@@ -322,11 +317,11 @@ def test_initial_phi_vector():
         with pytest.raises(ValueError, match=f"lam {lam} outside GF"):
             initial_phi_vector(f, tree, bases, lam)
         with pytest.raises(ValueError, match=f"lam {lam} outside GF"):
-            phi_vector(f, tree, heads_inv(f, bases), lam)
+            phi_vector(table, lam)
 
 
 def test_phi_vector_reads_table_heads():
-    # convert derives phi from the table's inverted heads; initial_phi_vector
+    # phi_vector reads the table's inverted heads; initial_phi_vector
     # inverts the heads of the bases itself.  Both give one vector.
     f = get_field(32)
     rng = random.Random(58)
@@ -335,5 +330,5 @@ def test_phi_vector_reads_table_heads():
     assert all(h != 1 for h in table.head)
     for lam in (0, 1, rng.randrange(2, f.order)):
         want = initial_phi_vector(f, tree, table.bases, lam)
-        assert phi_vector(f, tree, table.head_inv, lam) == want
+        assert phi_vector(table, lam) == want
         assert want == [phi_recursive(f, tree, table.bases, 0, u, lam) for u in range(10)]
