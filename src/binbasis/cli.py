@@ -186,9 +186,7 @@ def build_tree(strategy, n):
         return build_balanced_tree(n, _strategy_degrees(arg))
     if kind == "graft:":
         t = _block_size(arg, strategy)
-        blocks = -(-n // t)
-        base = [build_trivial(min(t, n - i * t)) for i in range(blocks)]
-        return graft_cantor_tree(t, n, base)
+        return graft_cantor_tree(t, n, [build_trivial(min(t, n - i)) for i in range(0, n, t)])
     if kind == "explicit:":
         tree = ReductionTree.parse(arg)
         if tree.n != n:
@@ -325,13 +323,10 @@ def cmd_verify(args):
         return 1
     table = build_tables(field, tree, beta)
     size = 1 << cfg.n
-    lam_values = [0]
-    lam_cfg = int(cfg.lam, 16)
-    lam_values.append(lam_cfg if lam_cfg
-                      else random.Random(1).randrange(1, field.order))
+    shift = int(cfg.lam, 16) or random.Random(1).randrange(1, field.order)
     rng = random.Random(2)
     failures = 0
-    for lam in lam_values:
+    for lam in (0, shift):
         phi = phi_vector(table, lam)
         for ell in range(1, size + 1):
             for name, (kind_from, kind_to, _) in RAW_TRANSFORMS.items():

@@ -294,11 +294,14 @@ class Field:
             raise ValueError("negative exponent")
         if not 0 <= a < self.order:
             raise ValueError(f"{a!r} is not an element of GF(2^{self.degree})")
-        if a == 0:
-            return 0 if e else 1
-        if self._exp is not None:
-            return self._exp[self._log[a] * e % (self.order - 1)]
-        return self._pow_raw(a, e)
+        mul = self._mul_raw
+        r = 1
+        while e:
+            if e & 1:
+                r = mul(r, a)
+            a = mul(a, a)
+            e >>= 1
+        return r
 
     def pow2k(self, a: int, d: int) -> int:
         """Frobenius power a^(2^d) by d squarings; GF(2)-linear in a."""
@@ -353,19 +356,9 @@ class Field:
             return 1
         primes = _factorize(group_order)
         for a in range(2, self.order):
-            if all(self._pow_raw(a, group_order // p) != 1 for p in primes):
+            if all(self.pow(a, group_order // p) != 1 for p in primes):
                 return a
         raise AssertionError("no primitive element found")  # unreachable
-
-    def _pow_raw(self, a: int, e: int) -> int:
-        mul = self._mul_raw
-        r = 1
-        while e:
-            if e & 1:
-                r = mul(r, a)
-            a = mul(a, a)
-            e >>= 1
-        return r
 
     def subfield_generator(self, d: int) -> int:
         """Generator of GF(2^d)*: the primitive element to the cofactor power."""

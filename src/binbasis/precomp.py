@@ -94,14 +94,15 @@ def build_tables(field, tree, beta):
 
 
 def phi_vector(table, lam):
-    """(phi_root(u, lam)) over all leaves u of the table's tree; the zero
-    vector when lam is 0.  ValueError unless lam is a field element."""
+    """(phi_root(u, lam)) over all leaves u of the table's tree.  ValueError
+    unless lam is a field element."""
     (lam,) = table.field.elements([lam], f"lam {lam}")
-    if lam == 0:
-        return [0] * table.tree.size[0]
     return [x for (x,) in transport(table, 0, [lam])]
 
 
 def initial_phi_vector(field, tree, bases, lam):
-    """phi_vector of a table of the vertex bases, whose heads it inverts."""
+    """phi_vector of a table of the vertex bases, whose heads it inverts.
+    ValueError unless bases holds one basis per vertex of the tree."""
+    if len(bases) != len(tree.size):
+        raise ValueError(f"{len(bases)} vertex bases for a tree of {len(tree.size)} vertices")
     return phi_vector(PrecompTable(field, tree, bases), lam)

@@ -9,9 +9,12 @@ produced by delta_of.
 
 Vertices live in a preorder arena: vertex 0 is the root and every subtree
 occupies a contiguous id range, so per-vertex data can be kept in flat lists.
+The builders raise ValueError unless every leaf count, block size and
+allowed degree they take is an integer of at least 1 (field._integers).
 """
 
 from binbasis.basisgen import alpha_of, delta_of, is_independent
+from binbasis.field import _integers
 
 LEAF = "*"
 # Fields have degree at most 32, so no usable tree has more than 32 leaves
@@ -162,10 +165,17 @@ def validate(field, tree, beta):
     return vertex_bases(field, tree, beta) is not None
 
 
-def _build(n, split):
-    """Tree whose vertex with k > 1 leaves puts split(k) of them in its prefix."""
+def _leaf_count(n):
+    """n read through _integers; ValueError unless it is at least 1."""
+    (n,) = _integers("leaf count", n)
     if n < 1:
         raise ValueError("trees need at least one leaf")
+    return n
+
+
+def _build(n, split):
+    """Tree whose vertex with k > 1 leaves puts split(k) of them in its prefix."""
+    n = _leaf_count(n)
 
     def shape(k):
         if k == 1:
@@ -200,7 +210,7 @@ def build_balanced_tree(n, degrees):
 
 
 def _check_degree_set(degrees):
-    choices = sorted(set(degrees))
+    choices = sorted(set(_integers("degree", *degrees)))
     if 1 not in choices:
         raise ValueError("degree set must contain 1")
     if choices[0] < 1:
@@ -215,6 +225,7 @@ def graft_cantor_tree(t, n, base_trees):
     exactly that many leaves.  Earlier blocks sit inside prefix subtrees, so
     every outer split degree is a power of two times t.
     """
+    t, n = _integers("block size and dimension", t, n)
     if n < 1 or t < 1:
         raise ValueError("dimension and block size must be positive")
     blocks = -(-n // t)
@@ -237,8 +248,7 @@ def graft_cantor_tree(t, n, base_trees):
 
 def enumerate_trees(n):
     """Yield every full binary tree with n leaves exactly once (n <= 10)."""
-    if n < 1:
-        raise ValueError("trees need at least one leaf")
+    n = _leaf_count(n)
     if n > 10:
         raise ValueError("enumeration above 10 leaves is refused (Catalan growth)")
 

@@ -163,6 +163,10 @@ def test_gen_cantor_rejects_bad_inputs():
         construct_gen_cantor(f, 0, 1, (1,))
     with pytest.raises(ValueError, match="expected integer"):  # once TypeError
         construct_gen_cantor(f, 2, 2.0, subfield_basis_powers(f, 1, 2))
+    with pytest.raises(ValueError, match="expected 2 coefficient-field"):
+        construct_gen_cantor(f, 1, 2, (1,))
+    with pytest.raises(ValueError, match="outside GF"):
+        construct_gen_cantor(f, 1, 2, (1, f.primitive_element()))
 
 
 def test_tower_basis_mixed_radix_products():
@@ -181,6 +185,8 @@ def test_tower_single_level_is_the_level_basis():
     tower = make_tower(f, (1, 12))
     beta = construct_tower_basis(f, tower, 12)
     assert beta == tower.level_bases[0]
+    with pytest.raises(ValueError, match="exceeds tower top degree"):
+        construct_tower_basis(f, make_tower(f, (1, 2, 4)), 5)
 
 
 def test_tower_bases_independent_for_all_towers_of_12():
@@ -210,6 +216,10 @@ def test_tower_string_round_trip():
         tower_from_string(f, "2-4")
     with pytest.raises(ValueError):
         tower_from_string(f, "1-5-12")  # 5 does not divide 12
+    with pytest.raises(ValueError, match="bad tower degree 'x'"):
+        tower_from_string(f, "1-x-12")
+    with pytest.raises(ValueError, match="top degree 8 does not divide 12"):
+        make_tower(f, (1, 2, 8))
 
 
 def test_quadratic_trace_basis():
@@ -235,6 +245,8 @@ def test_subfield_basis_powers():
         subfield_basis_powers(f, 2, 5)
     with pytest.raises(ValueError):
         subfield_basis_powers(f, 1, 5)
+    with pytest.raises(ValueError, match="4 does not divide 6"):
+        subfield_basis_powers(f, 4, 6)
     # A zero degree once raised ZeroDivisionError, and 4.0 TypeError.
     for d_sub, d_sup in ((0, 4), (1, 0), (0, 0), (1, 4.0)):
         with pytest.raises(ValueError):

@@ -99,6 +99,9 @@ def test_construct_errors(capsys):
         assert code == 1 and out == ""
         assert err.startswith("ERROR: ") and err.count("\n") == 1
         assert "GF(2^16)" in err
+    code, out, err = run(capsys, "construct", "--field", "16", "--n", "2",
+                         "--basis", "explicit:1,1")
+    assert (code, out, err) == (1, "", "ERROR: explicit basis entries are dependent\n")
 
 
 def test_explicit_tree_leaf_count_errors(capsys):
@@ -148,11 +151,18 @@ def test_verify_passes(capsys):
     assert "PASS n2x ell=1 lam=0" in lines
     assert lines[-1] == "verify: 192 checks, 0 failures"
 
-    code, out, _ = run(capsys, "verify", "--field", "13", "--basis", "random:4",
-                       "--tree", "trivial", "--n", "5", "--lam", "1a")
-    assert code == 0
-    assert out.splitlines()[-1].endswith("0 failures")
-    assert any(line.endswith("lam=1a") for line in out.splitlines())
+    # GF(2^32) random/trivial has a head other than 1 at every vertex and
+    # multiplies by the windowed kernel.  GF(2^16) under a modulus other
+    # than the default one is read by the field-spec path: its log tables
+    # are built block by block.
+    for args, lam in ((("--field", "13", "--basis", "random:4", "--n", "5"), "1a"),
+                      (("--field", "32", "--basis", "random:5", "--n", "5"), "1234abcd"),
+                      (("--field", "16:0x1ffed", "--basis", "random:3", "--n", "4"), None)):
+        lams = ("--lam", lam) if lam else ()
+        code, out, _ = run(capsys, "verify", *args, "--tree", "trivial", *lams)
+        assert code == 0, args
+        assert out.splitlines()[-1].endswith(" 0 failures"), args
+        assert lam is None or any(line.endswith(f"lam={lam}") for line in out.splitlines())
 
 
 def test_verify_validation_failure(capsys):
@@ -192,29 +202,61 @@ def test_counts_monotone_smoke(capsys):
         assert all(x <= y for x, y in zip(adds, adds[1:]))
 
 
-@pytest.mark.parametrize("transform", [
-    "n2x", "x2n", "l2x", "x2l", "x2m", "m2x", "l2x --c 3 --b 1 --ell 3:64",
-    "convert:lagrange-monomial", "convert:monomial-newton",
-])
-def test_counts_calc_agrees_with_execution(capsys, transform):
-    base = ("counts", "--field", "12", "--basis", "tower:1-2-4-12", "--tree",
-            "max:1-2-4-12", "--n", "6", "--transform", *transform.split())
-    code, out, _ = run(capsys, *base)
-    assert code == 0
-    code, out_calc, _ = run(capsys, *base, "--calc")
-    assert code == 0
-    assert out.splitlines()[1:] == out_calc.splitlines()[1:]
+TOWER12 = "--field 12 --basis tower:1-2-4-12 --tree max:1-2-4-12 --n 6 --transform "
+RAW = ("n2x", "x2n", "l2x", "x2l", "x2m", "m2x")
+PAIRS = [f"{a}-{b}" for a in ("monomial", "newton", "lagrange", "lch")
+         for b in ("monomial", "newton", "lagrange", "lch") if a != b]
 
-
-@pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("transform", ["n2x", "x2n", "l2x", "x2l", "x2m", "m2x"])
-def test_counts_calc_text_at_leaves(capsys, transform, n):
+# Each row is one `counts` argument string; the executed counts must equal
+# the replay (--calc) below the config line.
+COUNT_SPECS = [
+    # GF(2^12) tower basis on its max: tree, which splits at degree 4.
+    *(pytest.param(TOWER12 + t, id=t) for t in (
+        *RAW, "l2x --c 3 --b 1 --ell 3:64",
+        "convert:lagrange-monomial", "convert:monomial-newton")),
     # At n = 1 the root is a leaf, whose replayed cost once printed its
-    # multiplication flag as False/True; the CSV text must match execution.
-    base = ("counts", "--field", "8", "--n", str(n), "--transform", transform)
-    code, out, _ = run(capsys, *base)
+    # multiplication flag as False/True; the CSV text must match execution,
+    # on GF(2^8) at n = 1 and 2 and on GF(2^16) at n = 1.
+    *(f"--field {m} --n {n} --transform {t}"
+      for m, n in ((8, 1), (8, 2), (16, 1)) for t in RAW),
+    # On the scalar layout at n = 8 and on bit-planes from ell = 512 at n = 10.
+    *(f"--field 16 --basis cantor --tree cantor --n {n} --transform convert:{pair}"
+      for n in (8, 10) for pair in ("lagrange-newton", "monomial-lagrange")),
+    # GF(2^32) random/trivial has heads other than 1: these converts run the
+    # twist in (monomial-lagrange) and out (lagrange-monomial) and the block
+    # scaling on one plane set per convert.  The last one runs the plane
+    # twist on the log-table field GF(2^16).  On the GF(2^16) Cantor comb no
+    # scaling guard fires, and on the random:2 comb every one does.
+    "--field 32 --basis random:5 --tree trivial --n 10 --transform convert:monomial-lagrange --ell 1000:1024",
+    "--field 32 --basis random:5 --tree trivial --n 10 --transform convert:lagrange-monomial --ell 1000:1024",
+    "--field 16 --basis random:2 --tree trivial --n 9 --transform convert:monomial-newton --ell 300:512",
+    "--field 16 --basis cantor --tree trivial --n 9 --transform convert:lagrange-monomial --ell 300:512",
+    "--field 16 --basis cantor --tree trivial --n 9 --transform convert:monomial-newton --ell 300:512",
+    # All 12 pairs over a ragged window on a comb tree whose heads are not 1:
+    # convert runs the plan of legs and twists that the replay prices.
+    *(f"--field 32 --basis random:5 --tree trivial --n 6 --transform convert:{pair} "
+      "--ell 37:64 --lam 1234abcd" for pair in PAIRS),
+    # Raw n2x, x2n, x2m and m2x on bit-planes from the root, on a comb tree
+    # whose heads are not 1: the converts never start n2x there.
+    *(f"--field 32 --basis random:5 --tree trivial --n 10 --transform {t} "
+      "--ell 1000:1024 --lam 1234abcd" for t in ("n2x", "x2n", "x2m", "m2x")),
+    # Raw l2x and x2l at n = 10 run the known-value, post and copy leaf steps
+    # on bit-planes from the root, which the convert pairs do not.
+    *(f"--field 16 --basis cantor --tree cantor --n 10 --transform {t}"
+      for t in ("l2x --c 600 --b 1 --ell 600:1024", "x2l --c 1024")),
+    # GF(2^24) gencantor:3/graft:3 multiplies on planes at m = 24, a degree
+    # that no other row's plane product runs.
+    *(f"--field 24 --basis gencantor:3 --tree graft:3 --n 10 --transform convert:{pair} "
+      "--ell 600:640 --lam 1234ab" for pair in ("lagrange-lch", "monomial-lagrange")),
+]
+
+
+@pytest.mark.parametrize("spec", COUNT_SPECS)
+def test_counts_calc_agrees_with_execution(capsys, spec):
+    args = ("counts", *spec.split())
+    code, out, _ = run(capsys, *args)
     assert code == 0
-    code, out_calc, _ = run(capsys, *base, "--calc")
+    code, out_calc, _ = run(capsys, *args, "--calc")
     assert code == 0
     assert out.splitlines()[1:] == out_calc.splitlines()[1:]
 
@@ -324,11 +366,12 @@ def test_runconfig_roundtrip():
 
     # Headers that would not print back the same: an unknown token, a
     # repeated key, a calc flag other than 0 or 1, a number with a leading
-    # zero or sign, and keys out of order.
+    # zero or sign, keys out of order and a missing key.
     for bad in (text + " bogus=1", text.replace("n=4", "n=3") + " n=5",
                 text.replace("calc=1", "calc=7"), text.replace("n=4", "n=04"),
                 text.replace("c=2", "c=+2"),
-                "basis=cantor " + text.replace(" basis=cantor", "")):
+                "basis=cantor " + text.replace(" basis=cantor", ""),
+                text.replace(" out=-", "")):
         with pytest.raises(ValueError):
             RunConfig.from_string(bad)
 

@@ -289,6 +289,8 @@ def test_trace_domain_errors():
         f.trace_rel(1, 2, 5)  # 2 does not divide 5
     with pytest.raises(ValueError):
         f.trace_rel(1, 2, 8)  # 8 does not divide 12
+    with pytest.raises(ValueError, match=r"need 4 \| 6"):
+        f.trace_rel(1, 4, 6)
     g = get_field(8)
     with pytest.raises(ValueError):
         # primitive element generates the whole field, not GF(2^4)
@@ -305,6 +307,8 @@ def test_element_hex_round_trip():
     assert element_from_hex("0") == 0
     with pytest.raises(ValueError):
         element_from_hex("xyz")
+    with pytest.raises(ValueError, match="negative element"):
+        element_from_hex("-1")
 
 
 def test_get_field_is_cached():
@@ -318,6 +322,8 @@ def test_bad_degree_and_modulus():
         Field(0)
     with pytest.raises(ValueError):
         Field(33)
+    with pytest.raises(ValueError, match="degree must be in 1..32, got 33"):
+        get_field(33)  # canonical_modulus checks the range first
     with pytest.raises(ValueError):
         Field(8, 0x11D ^ 0x1)  # even constant term, divisible by x
 

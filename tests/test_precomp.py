@@ -318,6 +318,11 @@ def test_initial_phi_vector():
             initial_phi_vector(f, tree, bases, lam)
         with pytest.raises(ValueError, match=f"lam {lam} outside GF"):
             phi_vector(table, lam)
+    # One basis for a 5-vertex tree raised IndexError from transport.
+    with pytest.raises(ValueError, match="1 vertex bases for a tree of 5 vertices"):
+        initial_phi_vector(get_field(16), build_trivial(3), ((1, 2, 4),), 5)
+    with pytest.raises(ValueError, match="9 vertex bases for a tree of 7 vertices"):
+        initial_phi_vector(f, build_trivial(4), bases, 5)
 
 
 def test_phi_vector_reads_table_heads():

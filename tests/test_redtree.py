@@ -39,6 +39,10 @@ def test_trivial_tree_is_a_comb():
     assert tree.degree_image() == {1}
     assert sum(1 for _ in tree.internal_vertices()) == 4
     assert tree.serialize() == "(*,(*,(*,(*,*))))"
+    # 2.5 recursed until RecursionError, and 3.0 built a tree.
+    for n in (2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match="expected integer leaf count"):
+            build_trivial(n)
 
 
 def test_leaf_numbering_is_left_to_right():
@@ -65,6 +69,9 @@ def test_halving_tree_shapes():
     a, d = tree.alpha[0], tree.delta[0]
     assert tree.size[a] == 8 and tree.d_of(a) == 4
     assert tree.size[d] == 7 and tree.d_of(d) == 4
+    for n in (2.5, 4.0):  # once AttributeError
+        with pytest.raises(ValueError, match="expected integer leaf count"):
+            build_cantor_tree(n)
 
 
 def test_max_tree_choices():
@@ -83,6 +90,10 @@ def test_balanced_tree_choices():
     assert build_balanced_tree(6, {1}).degree_image() == {1}
     # Tie at size 4 between d=2 (max 2) wins over d=1 (max 3).
     assert build_balanced_tree(4, {1, 2}).d_of(0) == 2
+    # A float degree once built a tree.
+    for build in (build_balanced_tree, build_max_tree):
+        with pytest.raises(ValueError, match="expected integer degree"):
+            build(4, [1, 2.0])
 
 
 def test_max_and_balanced_second_child_degree_never_grows():
@@ -106,6 +117,9 @@ def test_graft_two_blocks():
     tree = graft_cantor_tree(2, 4, base)
     assert tree.serialize() == "((*,*),(*,*))"
     assert tree.d_of(0) == 2
+    for t, n in ((2.0, 4), (2, 4.0)):  # once AttributeError
+        with pytest.raises(ValueError, match="expected integer block size"):
+            graft_cantor_tree(t, n, base)
 
 
 def test_graft_block_degrees_are_power_of_two_multiples():
@@ -129,6 +143,10 @@ def test_enumerate_trees_catalan_counts():
     assert len(seen) == 42
     with pytest.raises(ValueError):
         next(enumerate_trees(11))
+    with pytest.raises(ValueError, match="at least one leaf"):
+        next(enumerate_trees(0))
+    with pytest.raises(ValueError, match="expected integer leaf count"):
+        next(enumerate_trees(2.5))  # once TypeError
 
 
 def test_serialization_round_trip():

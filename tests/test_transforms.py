@@ -153,8 +153,10 @@ def test_strided_view_geometry():
     assert [head[i] for i in range(4)] == [0, 1, 2, 3]
     with pytest.raises(IndexError):
         head[4]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="view exceeds buffer"):
         buf.view(9)
+    with pytest.raises(ValueError, match="bad view geometry"):
+        CoeffBuffer([1, 2]).view(0)
     # A float length was accepted and x2m then ran on it, scale_by_powers on
     # one raised TypeError from len(), and a str length raised TypeError.
     table = build_tables(GF8, build_cantor_tree(2), construct_cantor(GF8, 2))
