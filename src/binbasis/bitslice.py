@@ -148,6 +148,8 @@ class _Planes:
     which raises ValueError if one is outside the field."""
 
     __slots__ = ("table", "start", "phi_vec", "counter", "planes", "kernel", "shifts")
+    # The walk runs every vertex's batches here, down to the leaves.
+    small = 0
 
     def __init__(self, table, start, phi_vec, counter, values):
         self.table = table

@@ -8,10 +8,11 @@ object every conversion reads.  The map phi_v(u, lam) carries an
 evaluation shift lam down the same tree to leaf u of v's subtree, and
 transport is the one place that computes it, from a table's field, tree and
 inverted heads: one pass down v's subtree yields phi_v at every leaf for a
-list of values at once.  phi_vector runs it on lam at the root.  phi_v is
-GF(2)-linear in lam, so the transforms run it on the basis of a start
-vertex to get the lam-free part of every leaf shift
-(transforms._lin_columns).
+list of values at once.  transport checks its values once and recurses
+through _transport, which phi_vector runs on lam at the root.  phi_v is
+GF(2)-linear in lam, so the transforms run _transport on the basis of a
+start vertex to get the lam-free part of every leaf shift
+(transforms._lin_columns); both callers pass field elements.
 """
 
 from binbasis.redtree import vertex_bases
@@ -23,17 +24,23 @@ def transport(table, v, values):
     One list per leaf, leftmost leaf first.  Each vertex divides the values
     by its head: a leaf keeps the quotients q, an alpha child takes the
     values unchanged and a delta child takes q^(2^d) - q.  ValueError
-    unless v is a vertex of the table's tree.
+    unless v is a vertex of the table's tree and every value a field
+    element.
     """
-    field, tree = table.field, table.tree
-    if type(v) is not int or not 0 <= v < len(tree.size):
+    if type(v) is not int or not 0 <= v < len(table.tree.size):
         raise ValueError(f"{v!r} is not a vertex of the table's tree")
+    return _transport(table, v, table.field.elements(values, "value"))
+
+
+def _transport(table, v, values):
+    """transport of values that are field elements, at a vertex v."""
+    field, tree = table.field, table.tree
     qs = [field.mul(x, table.head_inv[v]) for x in values]
     if tree.is_leaf(v):
         return [qs]
     d = tree.d_of(v)
-    return (transport(table, tree.alpha[v], values)
-            + transport(table, tree.delta[v], [field.pow2k(q, d) ^ q for q in qs]))
+    return (_transport(table, tree.alpha[v], values)
+            + _transport(table, tree.delta[v], [field.pow2k(q, d) ^ q for q in qs]))
 
 
 class PrecompTable:
@@ -97,7 +104,7 @@ def phi_vector(table, lam):
     """(phi_root(u, lam)) over all leaves u of the table's tree.  ValueError
     unless lam is a field element."""
     (lam,) = table.field.elements([lam], f"lam {lam}")
-    return [x for (x,) in transport(table, 0, [lam])]
+    return [x for (x,) in _transport(table, 0, [lam])]
 
 
 def initial_phi_vector(field, tree, bases, lam):

@@ -27,7 +27,12 @@ positions and a leaf call's shift is its base plus a lam-free value.  The
 first call at a start vertex derives those values for every leaf under it
 in one pass of precomp.transport over the vertex basis, and the table
 caches them.  The scalar kernels are the reference the tests hold the
-bit-plane ones to.
+bit-plane ones to.  On the scalar layout the walk stops at internal
+vertices of at most _SMALL_DIM leaves and runs each call there as one
+generated straight-line function, _straight, written once per family,
+subtree shape, args and fired scaling guards by a symbolic run of the walk
+itself.  The table's values reach it as arguments, so tables of one shape
+in any field share it.
 
 Each transform is described once, by a family record: its split, the
 steps of its leaf calls, its scratch and phase order, and how (c, ell, b)
@@ -46,9 +51,11 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import compress
 from operator import index
+from types import SimpleNamespace
 
 from binbasis.field import _integers
-from binbasis.precomp import phi_vector, transport
+from binbasis.precomp import _transport, phi_vector
+from binbasis.redtree import ReductionTree
 
 BASIS_KINDS = ("monomial", "newton", "lagrange", "lch")
 
@@ -320,6 +327,13 @@ def _repunit(count, step):
 # made for the caller to charge.  values(keep) returns the first keep
 # entries.  n2x, x2n, x2m and m2x touch only the first ell entries of a
 # call (the schedule checks it), so the entries past them keep what they held.
+#
+# A layout may also run whole subtrees.  At an internal vertex of at most
+# small leaves, _walk hands the batches to subtree(fam, v, batches, e),
+# which runs every call there and charges it.  The scalar layout sets small
+# to _SMALL_DIM and runs generated straight-line code (_straight), fed the
+# table's leaf shifts or scaling heads; the bit-plane layout sets it to 0
+# and is walked down to its leaves.
 
 
 def _walk(lay, fam, v, batches, e):
@@ -343,6 +357,9 @@ def _walk(lay, fam, v, batches, e):
                 span = mask.bit_count()
                 ctr.additions += adds * span
                 ctr.multiplications += muls * span
+        return
+    if tree.size[v] <= lay.small:
+        lay.subtree(fam, v, batches, e)
         return
     d = tree.size[va]
     dh = tree.size[tree.delta[v]] if fam.full else 0
@@ -390,7 +407,7 @@ def _lin_columns(table, v):
     starts, and its column i is 0.  Both layouts build their lam-free
     shifts from these columns.
     """
-    cols = transport(table, v, table.bases[v])
+    cols = _transport(table, v, table.bases[v])
     for i, row in enumerate(cols):
         row[i] = 0
     return cols
@@ -401,8 +418,37 @@ _BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 def _offsets(mask):
     """The set bits of mask, lowest first."""
+    if mask == 1:  # a root call and its twists
+        return [0]
     bits = bin(mask)[:1:-1].encode().translate(_BITS)
     return list(compress(range(len(bits)), bits))
+
+
+def _leaf_lins(table, start):
+    """lin_L at every position of a call at start, for each leaf L under
+    start by leaf offset; built at the first call at start and kept by the
+    table."""
+    lins = table.leaf_lin.get(start)
+    if lins is None:
+        lins = table.leaf_lin[start] = []
+        for cols in _lin_columns(table, start):
+            lin = [0]
+            for col in cols:
+                lin += [x ^ col for x in lin]
+            lins.append(lin)
+    return lins
+
+
+# Internal vertices of this many leaves or fewer run on the scalar layout as
+# generated straight-line code, one function per call (_straight).  An n = 3
+# transform then costs one lookup and one call instead of a walk whose
+# bookkeeping outweighs its dozen field operations.  Converts of the 12
+# pairs at n = 4..8 (GF(2^16) cantor/cantor and random:5/trivial, GF(2^32)
+# cantor/cantor, full and ragged, min of 5, 2-vCPU VM) ran at 0.45-0.92x
+# the time under 3 with 4.  Under 5 they ran at 0.63-0.65x that of 4 at
+# n = 5, 0.83-0.92x on combs and 0.94-1.10x elsewhere, but generating the
+# larger functions made the test suite 1.5x slower.
+_SMALL_DIM = 4
 
 
 class _Scalar:
@@ -411,6 +457,7 @@ class _Scalar:
     bits of a batch mask as list offsets."""
 
     __slots__ = ("table", "start", "phi_vec", "counter", "data")
+    small = _SMALL_DIM
 
     def __init__(self, table, start, phi_vec, counter, values):
         data = table.field.elements(values, "data entry")
@@ -426,18 +473,8 @@ class _Scalar:
     def leaves(self, fam, leaf, batches, gap):
         table = self.table
         tree = table.tree
-        # lin_L at every position, built for every leaf L under the start
-        # vertex at its first call.
-        lins = table.leaf_lin.get(self.start)
-        if lins is None:
-            lins = table.leaf_lin[self.start] = []
-            for cols in _lin_columns(table, self.start):
-                lin = [0]
-                for col in cols:
-                    lin += [x ^ col for x in lin]
-                lins.append(lin)
         i = tree.leaf_start[leaf] - tree.leaf_start[self.start]
-        lin, base = lins[i], self.phi_vec[i]
+        lin, base = _leaf_lins(table, self.start)[i], self.phi_vec[i]
         data, mul = self.data, table.field.mul
         # Each step of a batch is one loop over its calls' offsets p.
         for args, mask in batches.items():
@@ -461,11 +498,160 @@ class _Scalar:
                 for p in offs:
                     data[p + gap] = data[p]
 
+    def subtree(self, fam, v, batches, e):
+        """Every call of the batches at v by the generated code of its
+        subtree's shape, fed the table's values: the shifts of the leaves
+        under v, or the heads of the x2m/m2x scalings."""
+        table = self.table
+        tree = table.tree
+        shape, deltas = _subtree(tree, v)
+        if fam.leaf is None:
+            heads = table.head if fam.inverse else table.head_inv
+            extra = [heads[u] for u in deltas]
+            guards = tuple(h != 1 for h in extra)
+        else:
+            i = tree.leaf_start[v] - tree.leaf_start[self.start]
+            j = i + tree.size[v]
+            extra = self.phi_vec[i:j] + _leaf_lins(table, self.start)[i:j]
+            guards = None
+        # Every function is found, and so every schedule checked, before
+        # any call writes.
+        runs = [(_straight(fam, shape, args, guards), mask) for args, mask in batches.items()]
+        data, s, mul, ctr = self.data, 1 << e, table.field.mul, self.counter
+        for (run, adds, muls), mask in runs:
+            span = mask.bit_count()
+            ctr.additions += adds * span
+            ctr.multiplications += muls * span
+            for o in _offsets(mask):
+                run(data, o, s, mul, *extra)
+
     def taylor(self, t, ell, mask, e, expand):
         return _taylor(t, ell, self.data, _offsets(mask), 1 << e, expand)
 
     def scale(self, w, ell, step, mask, e):
         return _scale_blocks(self.table.field, self.data, _offsets(mask), 1 << e, w, ell, step)
+
+
+@lru_cache(maxsize=256)
+def _subtree(tree, v):
+    """(shape, delta child of each internal vertex in preorder) of the
+    subtree at v, which holds the ids v .. v + 2 n_v - 2."""
+    inner = (u for u in range(v, v + 2 * tree.size[v] - 1) if tree.alpha[u] >= 0)
+    return tree.to_shape(v), tuple(tree.delta[u] for u in inner)
+
+
+# _straight writes a call's code by running _walk on a scalar layout whose
+# entries, leaf shifts, heads and products are _Syms: each XOR or product
+# the kernels make appends one assignment to a fresh local.
+
+
+class _Sym:
+    """A value in the code being built, by its source text."""
+
+    __slots__ = ("text", "code")
+
+    def __init__(self, text, code):
+        self.text = text
+        self.code = code
+
+    def __xor__(self, other):
+        return self.code.emit("{} ^ {}", self, other)
+
+
+class _Lin:
+    """lin_L of one leaf as the list its code reads at the call's positions."""
+
+    __slots__ = ("name", "code")
+
+    def __init__(self, name, code):
+        self.name = name
+        self.code = code
+
+    def __getitem__(self, p):
+        return _Sym(f"{self.name}[o + {p} * s]" if p else f"{self.name}[o]", self.code)
+
+
+class _Code:
+    """The statements of one generated function, and the field its symbolic
+    run multiplies in."""
+
+    def __init__(self):
+        self.lines = []
+        self.read = set()
+
+    def emit(self, form, a, b):
+        self.read.update((a, b))
+        name = f"t{len(self.lines)}"
+        self.lines.append(f"    {name} = " + form.format(a.text, b.text))
+        return _Sym(name, self)
+
+    def mul(self, a, b):
+        return self.emit("mul({}, {})", a, b)
+
+    def elements(self, values, what):
+        return list(values)
+
+
+class _ScalarWalk(_Scalar):
+    """The scalar layout walked down to its leaves: the symbolic run of
+    _straight, and the reference the tests hold its code to."""
+
+    __slots__ = ()
+    small = 0
+
+
+# One function per (family, shape, args, guards) of the calls that reach
+# _Scalar.subtree, about 5 KB each at n = 4.  The cli verify runs of a
+# count sweep, at n = 3 on two tree shapes, make 96.
+@lru_cache(maxsize=1024)
+def _straight(fam, shape, args, guards):
+    """(run, additions, multiplications) of a call with args at the root of
+    a subtree of the given shape: run(data, o, s, mul, *extra) makes it on
+    the entries o + s*p of data, with extra as _Scalar.subtree passes it.
+
+    guards is None for a family with leaf steps, which takes the bases and
+    lin_L lists of the subtree's leaves; x2m and m2x take the head of each
+    internal vertex's scaling, and guards says which differ from 1.  The
+    code holds no table value, and the counts are the walk's.  Generating it
+    runs the schedule's checks, so a bad schedule raises here, before any
+    call has written.
+    """
+    tree = ReductionTree.from_shape(shape)
+    nv = tree.n
+    code = _Code()
+    entries = [_Sym(f"x{p}", code) for p in range(1 << nv)]
+    bases = lins = heads = None
+    if guards is None:
+        params = [f"b{i}" for i in range(nv)] + [f"l{i}" for i in range(nv)]
+        bases = [_Sym(f"b{i}", code) for i in range(nv)]
+        lins = [_Lin(f"l{i}", code) for i in range(nv)]
+    else:
+        params = [f"h{k}" for k in range(len(guards))]
+        inner = (u for u in tree.vertices() if not tree.is_leaf(u))
+        heads = {u: _Sym(f"h{k}", code) if fired else 1
+                 for k, (u, fired) in enumerate(zip(inner, guards))}.__getitem__
+    table = SimpleNamespace(field=code, tree=tree, leaf_lin={0: lins},
+                            delta_head=heads, delta_head_inv=heads)
+    lay = _ScalarWalk(table, 0, bases, OpCounter(), entries)
+    _walk(lay, fam, 0, {args: 1}, 0)
+    out = lay.data
+    # Load every entry up to the last one read or written, and store every
+    # entry up to the last one written.
+    loads = 1 + max((p for p, x in enumerate(entries) if x in code.read or out[p] is not x),
+                    default=-1)
+    stores = 1 + max((p for p, x in enumerate(entries) if out[p] is not x), default=-1)
+    lines = [f"def subtree({', '.join(['data', 'o', 's', 'mul', *params])}):"]
+    if loads:
+        names = ", ".join(x.text for x in entries[:loads])
+        lines.append(f"    {names}, = data[o:o + {loads} * s:s]")
+    lines += code.lines
+    if stores:
+        names = ", ".join(x.text for x in out[:stores])
+        lines.append(f"    data[o:o + {stores} * s:s] = {names},")
+    lines.append("    return")
+    scope = {}
+    exec("\n".join(lines), scope)
+    return scope["subtree"], lay.counter.additions, lay.counter.multiplications
 
 
 # Calls at vertices with 2^n_v >= 512 entries run on bit-planes (bitslice).
@@ -779,7 +965,10 @@ class CountModel:
             a = m = 0
             for phase in _groups(fam, d, tree.size[vd] if fam.full else 0, args):
                 for row, _, count, adds, cargs in phase:
-                    ca, cm = self._count(fam, va if row else vd, cargs)
+                    # A child's counts are looked up here, and recursed for
+                    # only on a miss.
+                    u = va if row else vd
+                    ca, cm = memo.get((fam.key, u, cargs)) or self._count(fam, u, cargs)
                     a += count * (ca + adds)
                     m += count * cm
             if fam.leaf is None:
@@ -804,11 +993,26 @@ class CountModel:
 
     def convert(self, kind_from, kind_to, ell):
         """(additions, multiplications, twist_multiplications) of convert():
-        its plan's legs, and 2*ell - 3 per twist by a head other than 1."""
+        its plan's legs, and 2*ell - 3 per twist by a head other than 1.
+
+        The total is memoized with the legs' counts.  Its key adds whether
+        the root head is 1, which the twists read and the memo's guards do
+        not; an ell that is not an int is never served from it, so that
+        _convert_plan rejects a float or a bool.
+        """
+        key = None
+        if type(ell) is int and kind_from in BASIS_KINDS and kind_to in BASIS_KINDS:
+            key = (kind_from, kind_to, ell, self.table.head[0] != 1)
+            hit = self._memo.get(key)
+            if hit is not None:
+                return hit
         legs, twist = _convert_plan(self.table, kind_from, kind_to, ell)
         a = m = 0
         for fam, args in legs:
             da, dm = self._count(fam, 0, args)
             a, m = a + da, m + dm
         ell = index(ell)
-        return (a, m, _scale_muls(1, ell, twist[0]) + _scale_muls(1, ell, twist[1]))
+        total = (a, m, _scale_muls(1, ell, twist[0]) + _scale_muls(1, ell, twist[1]))
+        if key is not None:
+            self._memo[key] = total
+        return total

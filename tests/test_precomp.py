@@ -149,6 +149,13 @@ def test_phi_leaf_and_zero():
     for v in (-1, 7, 99, 1.0, None):
         with pytest.raises(ValueError, match="not a vertex"):
             transport(table, v, [1])
+    # A value that is not an integer raised TypeError; one outside the
+    # field raises ValueError as phi_vector does for lam.
+    for f in (get_field(16), get_field(32)):
+        table = build_tables(f, build_cantor_tree(3), construct_cantor(f, 3))
+        for bad in (2.5, "3", None, -1, 1 << f.degree):
+            with pytest.raises(ValueError, match="value outside"):
+                transport(table, 0, [bad])
 
 
 def test_phi_is_linear():

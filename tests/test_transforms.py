@@ -10,6 +10,7 @@ from binbasis.basisgen import (
     random_basis,
     tower_from_string,
 )
+from binbasis.cli import build_basis, build_tree
 from binbasis.field import get_field
 from binbasis.oracle import (
     bound,
@@ -21,7 +22,7 @@ from binbasis.oracle import (
     poly_mul,
     poly_trim,
 )
-from binbasis.precomp import build_tables, initial_phi_vector
+from binbasis.precomp import build_tables, initial_phi_vector, phi_vector
 from binbasis.redtree import (
     build_cantor_tree,
     build_max_tree,
@@ -34,9 +35,14 @@ from binbasis.transforms import (
     CoeffBuffer,
     CountModel,
     OpCounter,
+    _FAMILIES,
     _N2X,
+    _SMALL_DIM,
     _X2M,
     _Scalar,
+    _ScalarWalk,
+    _straight,
+    _args,
     _taylor_adds,
     _groups,
     _memo,
@@ -582,6 +588,9 @@ def test_float_arguments_do_not_poison_caches():
                 run_transform(name, v, phi, c, ell, b, data, table)
     counts = CountModel(table).convert("newton", "lch", 3)
     assert all(type(x) is int for x in counts)
+    # The memoized total of ell = 3 does not answer the equal float.
+    with pytest.raises(ValueError, match="expected integer ell, got 3.0"):
+        CountModel(table).convert("newton", "lch", 3.0)
     assert CountModel(table).convert("newton", "lch", Index(3)) == counts
     out, ctr = convert(field, "newton", "lch", beta, tree, 0, 3, data, table)
     assert ctr.totals() == counts
@@ -933,6 +942,23 @@ def test_count_memo_is_keyed_by_the_scaling_guards(n):
         assert CountModel(table).convert(a, b, ell) == got
 
 
+def test_convert_memo_is_keyed_by_the_root_head():
+    # A Cantor basis and its multiple by g fire the same scaling guards, so
+    # their models share one memo, but only the second twists a monomial
+    # end: the memoized convert totals must keep them apart.
+    n, ell = 4, 11
+    cantor = construct_cantor(GF16, n)
+    tables = [build_tables(GF16, build_cantor_tree(n), beta)
+              for beta in (cantor, scaled_cantor(GF16, n, GF16.primitive_element()))]
+    assert CountModel(tables[0])._memo is CountModel(tables[1])._memo
+    for a, b in (("monomial", "newton"), ("lagrange", "monomial")):
+        got = [CountModel(table).convert(a, b, ell) for table in tables]
+        assert got[0][2] == 0 and got[1][2] == 2 * ell - 3
+        for table, counts in zip(tables, got):
+            _, ctr = convert(GF16, a, b, table.beta, table.tree, 0, ell, list(range(ell)), table)
+            assert ctr.totals() == counts
+
+
 @pytest.mark.parametrize("n", [1, 3])
 def test_bad_transform_names_and_vertices_raise_value_error(n):
     # An unknown name once raised KeyError, vertex -1 ran at the last vertex
@@ -955,3 +981,113 @@ def test_bad_transform_names_and_vertices_raise_value_error(n):
             n2x(v, [1], 1, CoeffBuffer([0]).view(), table)
         with pytest.raises(ValueError, match=message):
             x2m(v, 1, CoeffBuffer([0]).view(), table)
+
+
+# Generated straight-line code (_straight) against the walk it replaces.
+# The bases give every tree shape up to 4 leaves that any basis validates,
+# with no scaling guard fired (Cantor) and with fired ones (the others).
+GENERATED_BASES = ((16, "cantor"), (16, "random:5"), (24, "tower:1-2-4-8-24"),
+                   (12, "tower:1-3-6-12"))
+
+
+def generated_tables(ns, bases):
+    out = []
+    for n in ns:
+        for degree, source in bases:
+            field = get_field(degree)
+            beta = build_basis(field, source, n)
+            out += [pytest.param(build_tables(field, tree, beta),
+                                 id=f"{degree}-{source}-{tree.serialize()}")
+                    for tree in enumerate_trees(n) if validate(field, tree, beta)]
+    return out
+
+
+def every_call(n):
+    """(family, args) of every valid call at an n-dim vertex."""
+    size = 1 << n
+    calls = {}
+    for fam in _FAMILIES.values():
+        for ell in range(1, size + 1):
+            for c in range(size + 1):
+                for b in (0, 1):
+                    try:
+                        calls[fam, fam.pack(n, c, ell, b)] = None
+                    except ValueError:
+                        pass
+    return list(calls)
+
+
+def walk_both(table, fam, batches, phi, data):
+    """(entries, totals) of the calls on the scalar layout, which runs
+    generated code, and on the walk down to the leaves."""
+    out = []
+    for layout in (_Scalar, _ScalarWalk):
+        lay = layout(table, 0, phi, OpCounter(), data)
+        _walk(lay, fam, 0, batches, 0)
+        out.append((lay.data, lay.counter.totals()))
+    return out
+
+
+SHAPE_TABLES = generated_tables(range(2, _SMALL_DIM + 1), GENERATED_BASES)
+
+
+@pytest.mark.parametrize("table", SHAPE_TABLES)
+def test_generated_code_matches_the_walk(table):
+    # Every call at a root of at most _SMALL_DIM leaves runs as generated
+    # code; each must write and count what the walk does, at lam = 0, 1
+    # and a random lam.
+    n = table.tree.n
+    field = table.field
+    rng = random.Random(n)
+    phis = [phi_vector(table, lam) for lam in (0, 1, rng.randrange(2, field.order))]
+    for fam, args in every_call(n):
+        for phi in phis:
+            got, want = walk_both(table, fam, {args: 1}, phi, rand_elems(rng, field, 1 << n))
+            assert got == want, (fam.key, args)
+
+
+@pytest.mark.parametrize("spec", [(16, "cantor", "cantor", 6), (16, "cantor", "cantor", 8),
+                                  (16, "random:5", "trivial", 8),
+                                  (24, "tower:1-2-4-8-24", "max:1-2-4-8", 8),
+                                  (24, "gencantor:3", "graft:3", 8)],
+                         ids=lambda spec: "-".join(map(str, spec)))
+def test_generated_code_inside_larger_calls(spec):
+    # Below a larger root, generated code runs at an offset and a stride,
+    # on batches of several starts, with the shifts of inner leaves.
+    degree, source, strategy, n = spec
+    field = get_field(degree)
+    table = build_tables(field, build_tree(strategy, n), build_basis(field, source, n))
+    size = 1 << n
+    rng = random.Random(n)
+    phi = phi_vector(table, rng.randrange(field.order))
+    for name, fam in _FAMILIES.items():
+        for ell in (size, size - 1, rng.randrange(2, size), rng.randrange(2, size)):
+            c = rng.randrange(1, ell) if name in ("l2x", "x2l") else ell
+            b = int(ell < size and name == "l2x")
+            args = _args(name, table.tree, 0, c, ell, b)[1]
+            got, want = walk_both(table, fam, {args: 1}, phi, rand_elems(rng, field, size))
+            assert got == want, (name, args)
+
+
+@pytest.mark.parametrize("bases", [((16, "cantor"), (32, "cantor")),
+                                   ((16, "random:1"), (32, "random:2"))])
+def test_tables_of_one_shape_share_generated_code(bases):
+    # Code is keyed by shape, not by table: a second table of the same tree
+    # shape, in another field or basis, generates nothing new.  A per-table
+    # key once recompiled every vertex for each fresh table.
+    n = 3
+    tree = build_cantor_tree(n) if bases[0][1] == "cantor" else build_trivial(n)
+    tables = []
+    for degree, source in bases:
+        field = get_field(degree)
+        tables.append(build_tables(field, tree, build_basis(field, source, n)))
+    calls = [(fam, args) for fam, args in every_call(n) if args[0] in (3, 8)]
+    rng = random.Random(3)
+    for i, table in enumerate(tables):
+        misses = _straight.cache_info().misses
+        phi = phi_vector(table, 5)
+        for fam, args in calls:
+            got, want = walk_both(table, fam, {args: 1}, phi, rand_elems(rng, table.field, 1 << n))
+            assert got == want
+        if i:
+            assert _straight.cache_info().misses == misses
