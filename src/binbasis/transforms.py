@@ -442,12 +442,12 @@ def _leaf_lins(table, start):
 # Internal vertices of this many leaves or fewer run on the scalar layout as
 # generated straight-line code, one function per call (_straight).  An n = 3
 # transform then costs one lookup and one call instead of a walk whose
-# bookkeeping outweighs its dozen field operations.  Converts of the 12
+# bookkeeping outweighs its dozen field operations.  On converts of the 12
 # pairs at n = 4..8 (GF(2^16) cantor/cantor and random:5/trivial, GF(2^32)
-# cantor/cantor, full and ragged, min of 5, 2-vCPU VM) ran at 0.45-0.92x
-# the time under 3 with 4.  Under 5 they ran at 0.63-0.65x that of 4 at
-# n = 5, 0.83-0.92x on combs and 0.94-1.10x elsewhere, but generating the
-# larger functions made the test suite 1.5x slower.
+# cantor/cantor, full and ragged, min of 5, 2-vCPU VM), 4 took 0.45-0.92x
+# the time of 3.  5 took 0.63-0.65x the time of 4 at n = 5, 0.83-0.92x on
+# combs and 0.94-1.10x elsewhere, but generating its larger functions made
+# the test suite 1.5x slower.
 _SMALL_DIM = 4
 
 
